@@ -26,20 +26,23 @@ must reach the 1.5x target.  ``--check`` turns violations into a
 non-zero exit status, which is how CI fails the build on a hot-path
 regression.
 
-Schema 3 adds the **whole-sweep batch rows**: a (seeds × cores) sparselu
-grid cell executed once per cell through the scalar engine (fresh
-manager per cell, exactly like ``SweepRunner`` with ``n_jobs=1``) versus
-one :func:`repro.sim.batch.run_lanes` call advancing every cell as a
-lane.  The two sides produce byte-identical results (enforced by the
-batch golden/differential suites); the rows measure wall time only.
-The ``ideal`` batch row is gated at a 5.0x floor under ``--check`` in
-both quick and full modes.
+The ``ideal`` and ``nanos`` rows time :meth:`Machine.run`, which
+replays them on the lane kernel (:mod:`repro.sim.batch`).
+
+Schema 4 re-points the **whole-sweep rows** (``batch_sweep``): a
+(seeds × cores) sparselu grid executed cell by cell (fresh manager per
+cell, exactly like ``SweepRunner`` with ``n_jobs=1``) through
+:meth:`Machine.run` — the lane kernel — versus the generic loop
+(``Machine._run_trace``).  The two sides produce byte-identical results
+(enforced by the golden/differential suites); the rows measure wall
+time only.  The ``ideal`` row is gated at a 5.0x floor under
+``--check`` in both quick and full modes.
 
 Run with::
 
     PYTHONPATH=src python benchmarks/bench_sim_throughput.py [--quick] [--check]
 
-Writes ``BENCH_sim_throughput.json`` (schema 3, repo root by default).
+Writes ``BENCH_sim_throughput.json`` (schema 4, repo root by default).
 """
 
 from __future__ import annotations
@@ -89,17 +92,17 @@ MANAGER_ROWS: Dict[str, Tuple[Callable, Callable]] = {
 #: Rows whose speedups feed the nexus geomean / floor gate.
 NEXUS_ROWS = ("nexuspp", "nexus#6")
 
-#: Whole-sweep batch section: the (seeds x cores) grid cell both engines
-#: execute, the lane-kernel managers it is measured for, and the gate.
+#: Whole-sweep section: the (seeds x cores) grid both paths execute,
+#: the lane-kernel managers it is measured for, and the gate.
 BATCH_SEEDS = (1, 2, 3, 4)
 BATCH_CORES = (4, 8, 16, 32)
 BATCH_MANAGERS: Dict[str, Callable] = {
     "ideal": ideal_factory(),
     "nanos": nanos_factory(),
 }
-#: Batch rows gated under ``--check`` (quick and full modes alike).
+#: Whole-sweep rows gated under ``--check`` (quick and full modes alike).
 BATCH_GATED_ROWS = ("ideal",)
-#: Whole-sweep wall-time speedup floor for the gated batch rows.
+#: Whole-sweep wall-time speedup floor (kernel over generic loop).
 BATCH_FLOOR = 5.0
 
 
@@ -138,25 +141,30 @@ def _geomean(values: List[float]) -> float:
 
 
 def run_batch_section(scale: float, repetitions: int) -> Dict[str, object]:
-    """Whole-sweep rows: scalar per-cell execution vs one lane batch.
+    """Whole-sweep rows: the lane kernel vs the generic loop, per cell.
 
     Both sides run the identical (seeds × cores) sparselu grid with
-    ``keep_schedule=False`` (the configuration large sweeps use): the
-    scalar side as ``len(seeds) * len(cores)`` independent
-    ``Machine.run`` calls with a fresh manager per cell, the batch side
-    as a single :func:`repro.sim.batch.run_lanes` call over the same
-    cells.  Warm-up runs outside the timed region fill the per-trace
-    structural caches both sides share, so the rows compare engine
-    execution, not trace compilation.
+    ``keep_schedule=False`` (the configuration large sweeps use) as
+    ``len(seeds) * len(cores)`` independent runs with a fresh manager
+    per cell: :meth:`Machine.run` (the lane kernel) on one side, the
+    generic loop (``Machine._run_trace``) on the other.  Warm-up runs
+    outside the timed region fill the per-trace structural caches, so
+    the rows compare engine execution, not trace compilation.
     """
-    from repro.sim.batch import LaneSpec, run_lanes
-
     traces = [generate_sparselu(scale=scale, seed=seed) for seed in BATCH_SEEDS]
     configs = [MachineConfig(num_cores=c, keep_schedule=False) for c in BATCH_CORES]
     rows: Dict[str, object] = {}
     for manager_name, factory in BATCH_MANAGERS.items():
 
-        def run_scalar() -> int:
+        def run_generic() -> int:
+            runs = 0
+            for trace in traces:
+                for config in configs:
+                    Machine(factory(), config)._run_trace(trace)
+                    runs += 1
+            return runs
+
+        def run_kernel() -> int:
             runs = 0
             for trace in traces:
                 for config in configs:
@@ -164,24 +172,16 @@ def run_batch_section(scale: float, repetitions: int) -> Dict[str, object]:
                     runs += 1
             return runs
 
-        def run_batch() -> int:
-            lanes = [
-                LaneSpec(trace=trace, manager=factory(), config=config)
-                for trace in traces for config in configs
-            ]
-            return len(run_lanes(lanes))
-
-        run_batch()
-        run_scalar()
-        batch_s, num_lanes, scalar_s, num_runs = _time_pair(
-            run_batch, run_scalar, repetitions)
-        speedup = scalar_s / batch_s if batch_s > 0 else math.inf
+        run_kernel()
+        run_generic()
+        kernel_s, num_runs, generic_s, _ = _time_pair(
+            run_kernel, run_generic, repetitions)
+        speedup = generic_s / kernel_s if kernel_s > 0 else math.inf
         gated = manager_name in BATCH_GATED_ROWS
         rows[manager_name] = {
-            "lanes": num_lanes,
-            "scalar_runs": num_runs,
-            "batch_seconds": round(batch_s, 6),
-            "scalar_seconds": round(scalar_s, 6),
+            "runs": num_runs,
+            "kernel_seconds": round(kernel_s, 6),
+            "generic_seconds": round(generic_s, 6),
             "speedup": round(speedup, 3),
             "floor": BATCH_FLOOR if gated else None,
             "meets_floor": speedup >= BATCH_FLOOR if gated else True,
@@ -250,13 +250,14 @@ def run_benchmark(
     per_manager_geomean = {key: round(_geomean(values), 3) for key, values in speedups.items()}
     return {
         "benchmark": "sim_throughput",
-        "schema": 3,
+        "schema": 4,
         "config": {
             "cores": cores,
             "scale": scale,
             "seed": BENCH_SEED,
             "repetitions": repetitions,
-            "machine_config": "default (fifo scheduler, homogeneous topology, keep_schedule=True)",
+            "machine_config": "default (fifo scheduler, homogeneous topology, keep_schedule=True); "
+                              "ideal and nanos rows run on the lane kernel",
             "baseline": "frozen legacy stack: _legacy_machine.py loop for all rows; "
                         "ideal rows use its pre-refactor tracker, nanos/nexuspp/nexus#6 "
                         "rows use the pre-compiled-engine managers of _legacy_depres.py",
@@ -310,7 +311,7 @@ def check_report(report: Dict[str, object], enforce_geomean: bool = True) -> Lis
         row = batch["rows"][manager_name]  # type: ignore[index]
         if not row["meets_floor"]:
             failures.append(
-                f"batch-sweep/{manager_name}: whole-sweep speedup "
+                f"batch-sweep/{manager_name}: kernel-over-generic speedup "
                 f"{row['speedup']:.3f}x below the {row['floor']:.1f}x floor"
             )
     return failures
@@ -333,8 +334,8 @@ def main() -> int:
 
     scale = args.scale if args.scale is not None else (0.05 if args.quick else 0.3)
     repetitions = args.repetitions if args.repetitions is not None else (3 if args.quick else 7)
-    # The batch grid multiplies the trace by 16 cells, so it runs at its
-    # own (smaller) scale to keep the benchmark's wall time bounded.
+    # The whole-sweep grid multiplies the trace by 16 cells, so it runs at
+    # its own (smaller) scale to keep the benchmark's wall time bounded.
     batch_scale = 0.02 if args.quick else 0.05
     report = run_benchmark(scale=scale, cores=args.cores, repetitions=repetitions,
                            batch_scale=batch_scale)
@@ -359,9 +360,9 @@ def main() -> int:
     for manager_name, row in batch["rows"].items():
         gate = f" (floor {row['floor']:.1f}x)" if row["floor"] is not None else ""
         print(
-            f"batch-sweep {manager_name:8s} {row['lanes']} lanes "
+            f"batch-sweep {manager_name:8s} {row['runs']} runs "
             f"({len(grid['seeds'])} seeds x {len(grid['cores'])} cores): "
-            f"scalar {row['scalar_seconds']:.3f}s, batch {row['batch_seconds']:.3f}s, "
+            f"generic loop {row['generic_seconds']:.3f}s, kernel {row['kernel_seconds']:.3f}s, "
             f"speedup {row['speedup']:.2f}x{gate}"
         )
 

@@ -20,8 +20,8 @@ dispatch overhead):
   standalone ``python -m repro.distributed.worker`` entry point for
   remote hosts.
 
-The fabric is an *execution* option exactly like ``n_jobs`` and
-``batch_lanes``: ``SweepRunner(transport="sockets", workers=N)`` emits
+The fabric is an *execution* option exactly like ``n_jobs``:
+``SweepRunner(transport="sockets", workers=N)`` emits
 JSONL byte-identical to a serial ``n_jobs=1`` run, and the shared
 content-addressed :class:`~repro.experiments.cache.ResultCache` makes
 any worker's result reusable by all (a warm re-run does zero

@@ -4,11 +4,9 @@ A worker is a small pull-based loop around the existing engine:
 
 1. connect to the scheduler, send ``hello``, receive the ``setup``
    frame (the pickled job table — once per worker, not per cell — plus
-   the ``batch_lanes`` setting and the shared cache directory);
-2. ask for work (``need_work``) and execute the assigned cells; chunks
-   whose cells are lane-compatible advance in lockstep through
-   :func:`repro.sim.batch.run_lanes`, everything else runs through the
-   scalar :meth:`Machine.run <repro.system.machine.Machine.run>` path —
+   the shared cache directory);
+2. ask for work (``need_work``) and execute the assigned cells one at a
+   time through :func:`repro.experiments.runner.execute_lane_block` —
    exactly like a local sweep, so results are byte-identical;
 3. publish every finished cell into the shared content-addressed
    :class:`~repro.experiments.cache.ResultCache` (atomic writes — a
@@ -37,7 +35,7 @@ import threading
 import time
 import traceback
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import ReproError
 from repro.distributed.protocol import FrameStream, ProtocolError, decode_payload
@@ -47,33 +45,6 @@ from repro.resilience.retry import RetryBudgetExhausted, RetryPolicy, call_with_
 #: connection: bounded attempts, exponential backoff, deterministic
 #: jitter keyed on the worker identity.
 CONNECT_POLICY = RetryPolicy(max_attempts=5, base_delay=0.2, max_delay=2.0)
-
-
-def _execute_block(
-    cells: List[int],
-    jobs_by_cell: Dict[int, tuple],
-    batch_lanes: int,
-) -> List[Tuple[int, dict]]:
-    """Run a block of cells; lane-batch the lane-eligible ones."""
-    from repro.experiments.runner import (
-        execute_lane_block,
-        resolve_job,
-        run_job,
-    )
-
-    results: List[Tuple[int, dict]] = []
-    if batch_lanes > 1 and len(cells) > 1:
-        batchable = []
-        for cell in cells:
-            index, point = resolve_job(jobs_by_cell[cell])
-            if point.stream or point.dynamic:
-                results.append(run_job(jobs_by_cell[cell]))
-            else:
-                batchable.append((index, point))
-        if batchable:
-            results.extend(execute_lane_block(batchable))
-        return results
-    return [run_job(jobs_by_cell[cell]) for cell in cells]
 
 
 def run_worker(
@@ -92,7 +63,11 @@ def run_worker(
     :class:`~repro.resilience.retry.RetryBudgetExhausted`.
     """
     from repro.experiments.cache import ResultCache
-    from repro.experiments.runner import install_workload_table, resolve_job
+    from repro.experiments.runner import (
+        execute_lane_block,
+        install_workload_table,
+        resolve_job,
+    )
 
     policy = connect_policy or CONNECT_POLICY
     sock = call_with_retry(
@@ -113,7 +88,6 @@ def run_worker(
         jobs, table = decode_payload(setup["jobs"])
         install_workload_table(table)
         jobs_by_cell: Dict[int, tuple] = {job[0]: job for job in jobs}
-        batch_lanes = max(1, int(setup.get("batch_lanes") or 1))
         cache = None
         cache_dir = setup.get("cache_dir")
         if cache_dir:
@@ -198,36 +172,32 @@ def run_worker(
                 frame = stream.poll()
             if stream.eof:
                 return 1  # scheduler vanished
-            cells: List[int] = []
-            while queue and len(cells) < batch_lanes:
+            cell: Optional[int] = None
+            while queue and cell is None:
                 cell = queue.popleft()
                 if cell in revoked:
                     revoked.discard(cell)
-                    continue
-                cells.append(cell)
-            if cells:
+                    cell = None
+            if cell is not None:
                 if chaos_hook is not None:
-                    for _ in cells:
-                        chaos_hook.before_cell(stream, on_hang=stop_heartbeat.set)
+                    chaos_hook.before_cell(stream, on_hang=stop_heartbeat.set)
+                index, point = resolve_job(jobs_by_cell[cell])
                 try:
-                    block = _execute_block(cells, jobs_by_cell, batch_lanes)
+                    ((_, doc),) = execute_lane_block([(index, point)])
                 except ReproError as exc:
                     # A cell the engine cannot run would fail on every
                     # worker; tell the scheduler instead of letting the
                     # retry budget burn through the pool.
                     stream.send({
                         "type": "error",
-                        "cells": cells,
+                        "cells": [cell],
                         "message": f"{type(exc).__name__}: {exc}",
                         "traceback": traceback.format_exc(),
                     })
                     return 1
-                for index, doc in block:
-                    if cache is not None:
-                        _, point = resolve_job(jobs_by_cell[index])
-                        if point.cacheable:
-                            cache.put(point.cache_key(), doc)
-                    stream.send({"type": "result", "cell": index, "doc": doc})
+                if cache is not None and point.cacheable:
+                    cache.put(point.cache_key(), doc)
+                stream.send({"type": "result", "cell": index, "doc": doc})
             if not queue and not awaiting_work:
                 awaiting_work = True
                 stream.send({"type": "need_work"})

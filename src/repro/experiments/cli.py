@@ -116,12 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "(default 127.0.0.1:0 = loopback, ephemeral "
                               "port; bind a routable address for remote "
                               "workers)")
-    p_sweep.add_argument("--batch-lanes", type=int, default=1,
-                         help="serial-path lane batching: advance up to this "
-                              "many grid cells in lockstep through the "
-                              "vectorized batch backend (default 1 = scalar; "
-                              "results are byte-identical either way; ignored "
-                              "with --n-jobs > 1)")
     p_sweep.add_argument("--cache-dir", default=None,
                          help="content-addressed result cache directory")
     p_sweep.add_argument("--chaos-seed", type=int, default=None, metavar="SEED",
@@ -187,7 +181,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     runner = SweepRunner(
         n_jobs=args.n_jobs,
         cache_dir=args.cache_dir,
-        batch_lanes=args.batch_lanes,
         transport="sockets" if distributed else "local",
         workers=args.workers,
         worker_hosts=worker_hosts,

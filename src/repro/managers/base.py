@@ -59,14 +59,13 @@ class SubmitOutcome(NamedTuple):
 
 
 class LaneKernelSpec(NamedTuple):
-    """Constant-folded description of a manager for the batch lane engine.
+    """Constant-folded description of a manager for the lane kernel.
 
-    The vectorized batch backend (:mod:`repro.sim.batch`) advances many
-    independent simulation runs ("lanes") in lockstep.  It cannot call
-    back into stateful manager objects per event — each lane owns flat
-    per-lane state instead — so a manager that wants its lanes on the
-    vector kernel must describe itself as pure constants.  Two kernel
-    kinds exist today:
+    :meth:`repro.system.machine.Machine.run` replays eligible runs on a
+    specialised event loop (:mod:`repro.sim.batch`) that keeps flat run
+    state and cannot call back into stateful manager objects per event,
+    so a manager that wants that fast path must describe itself as pure
+    constants.  Two kernel kinds exist today:
 
     * ``"ideal"`` — zero-overhead dependency resolution (submission and
       retirement cost no simulated time);
@@ -78,8 +77,8 @@ class LaneKernelSpec(NamedTuple):
     The hardware managers (Nexus++/Nexus#) model history-dependent
     pipeline contention (per-task-graph ports, arbiters, set-conflict
     stalls) that has no constant folding; they return ``None`` from
-    :meth:`TaskManagerModel.lane_kernel` and their lanes run on the
-    scalar engine instead (see ``repro.sim.batch.lane_fallback_reason``).
+    :meth:`TaskManagerModel.lane_kernel` and run on the generic loop
+    (see ``repro.sim.batch.lane_fallback_reason``).
     """
 
     kind: str
@@ -167,17 +166,19 @@ class TaskManagerModel(abc.ABC):
         """
 
     def lane_kernel(self) -> "LaneKernelSpec | None":
-        """Constant description for the batch lane engine, or ``None``.
+        """Constant description for the lane kernel, or ``None``.
 
         Returning a :class:`LaneKernelSpec` declares that this manager's
-        behaviour is fully captured by the spec's constants, so a batch
-        run (:meth:`repro.system.machine.Machine.run_batch`) may execute
-        its lanes on the vectorized kernel in :mod:`repro.sim.batch`
-        instead of calling :meth:`submit`/:meth:`finish` per event.  The
-        lane kernel must be **byte-identical** to the scalar path — the
-        golden batch-equivalence suite and the lane-differential fuzz
-        tests in ``tests/batch/`` pin this.  The default ``None`` routes
-        every lane through the scalar engine, which is always correct.
+        behaviour is fully captured by the spec's constants, so
+        :meth:`repro.system.machine.Machine.run` may replay it on the
+        lane kernel in :mod:`repro.sim.batch` instead of calling
+        :meth:`submit`/:meth:`finish` per event.  A subclass that
+        changes :meth:`submit`/:meth:`finish` must therefore override
+        this too.  The lane kernel must be **byte-identical** to the
+        generic loop — the golden batch-equivalence suite and the
+        differential tests in ``tests/batch/`` pin this.  The default
+        ``None`` keeps every run on the generic loop, which is always
+        correct.
         """
         return None
 

@@ -334,14 +334,14 @@ class NexusSharpManager(TaskManagerModel):
         return FinishOutcome(ready=tuple(notifications), notify_done_us=fp_end)
 
     def lane_kernel(self) -> None:
-        """Nexus# declines the vectorized batch lane kernel.
+        """Nexus# declines the lane kernel.
 
         The distributed pipeline is far too history-dependent to
         constant-fold: per-task-graph insertion ports, the Dependence
         Counts Arbiter's result interleaving, set-conflict stalls and
         dummy-entry occupancy all couple a task's cost to every earlier
-        task's placement.  Batch lanes fall back to the scalar engine;
-        they still benefit from the process-shared latency tables
+        task's placement.  Its runs take the generic loop; they still
+        benefit from the process-shared latency tables
         (:func:`repro.nexus.timing.shared_offset_tables`).
         """
         return None

@@ -18,7 +18,7 @@ POST   ``/v1/sweep``       a full grid -> chunked-JSONL rows or a report
 ====== =================== ===================================================
 
 Every simulation funnels through the :class:`~repro.serve.batcher.
-Batcher` (cache -> dedupe -> admission -> lane batches), so the serving
+Batcher` (cache -> dedupe -> admission -> blocks), so the serving
 layer inherits the sweep runner's content addressing: a cell served over
 HTTP, by the CLI, or by a direct :class:`~repro.experiments.runner.
 SweepRunner` produces the same cache key and byte-identical JSONL rows.
@@ -102,7 +102,7 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0
     cache_dir: Optional[str] = None
-    #: Cells advanced in lockstep per executor block.
+    #: Cells per executor block.
     batch_lanes: int = 8
     #: Seconds a partial block waits to fill before running anyway.
     batch_window: float = 0.002

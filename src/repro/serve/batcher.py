@@ -17,11 +17,9 @@ the single funnel they all pass through:
    for multi-cell sweeps) or the request is rejected with a measured
    Retry-After.
 4. **Batched execution** — admitted cells are grouped into blocks of
-   ``batch_lanes`` and advanced in lockstep through the vectorized batch
-   backend (:func:`repro.experiments.runner.execute_lane_block` →
-   :func:`repro.sim.batch.run_lanes`) on a thread-pool executor;
-   stream/dynamic cells fall back to the scalar engine exactly like the
-   sweep runner's ``--batch-lanes`` path.  With ``fabric_workers`` > 0,
+   up to ``batch_lanes`` cells and each block runs on a thread-pool
+   executor (:func:`repro.experiments.runner.execute_lane_block`), cell
+   by cell, exactly like the sweep runner.  With ``fabric_workers`` > 0,
    large blocks are fanned out over the distributed sweep fabric
    (:class:`~repro.distributed.scheduler.SweepScheduler`) instead.
 
@@ -39,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.cache import ResultCache
-from repro.experiments.runner import execute_lane_block, intern_jobs, run_job
+from repro.experiments.runner import execute_lane_block, intern_jobs
 from repro.experiments.spec import RunPoint
 from repro.resilience.circuit import CircuitBreaker
 from repro.serve.admission import AdmissionController, Saturated
@@ -48,34 +46,14 @@ __all__ = ["Batcher", "BatcherStats", "Saturated", "execute_block"]
 
 
 def execute_block(block: List[Tuple[int, RunPoint]]) -> List[Tuple[int, Dict[str, Any]]]:
-    """Run one block of grid cells, batched where the lane backend applies.
-
-    Mirrors :meth:`SweepRunner._execute_batched
-    <repro.experiments.runner.SweepRunner>`: static cells advance in
-    lockstep through the lane backend, stream/dynamic cells (and
-    singleton blocks) run through the scalar engine — byte-identical
-    results either way.
-    """
-    out: List[Tuple[int, Dict[str, Any]]] = []
-    batchable: List[Tuple[int, RunPoint]] = []
-    for index, point in block:
-        if point.stream or point.dynamic:
-            out.append(run_job((index, point, None)))
-        else:
-            batchable.append((index, point))
-    if len(batchable) == 1:
-        index, point = batchable[0]
-        out.append(run_job((index, point, None)))
-    elif batchable:
-        out.extend(execute_lane_block(batchable))
-    return out
+    """Run one block of grid cells on the local executor, in order."""
+    return execute_lane_block(block)
 
 
 def execute_block_fabric(
     block: List[Tuple[int, RunPoint]],
     *,
     workers: int,
-    batch_lanes: int,
     cache_dir: Optional[str],
 ) -> List[Tuple[int, Dict[str, Any]]]:
     """Fan one block out over the distributed sweep fabric.
@@ -89,7 +67,7 @@ def execute_block_fabric(
 
     jobs, table = intern_jobs(block)
     scheduler = SweepScheduler(
-        jobs, table, workers=workers, batch_lanes=batch_lanes, cache_dir=cache_dir)
+        jobs, table, workers=workers, cache_dir=cache_dir)
     return scheduler.run()
 
 
@@ -149,7 +127,8 @@ class Batcher:
         key, so repeated identical requests are warm even on a server
         without a cache directory.
     batch_lanes:
-        Cells advanced in lockstep per executor block (1 = scalar).
+        Cells per executor block (1 = one cell per block); also the
+        size a coalescing burst waits to fill (see ``batch_window``).
     batch_window:
         Seconds the dispatcher waits for a partial block to fill before
         running it anyway — the latency cost of coalescing (default 2 ms).
@@ -367,7 +346,7 @@ class Batcher:
                     pairs = await loop.run_in_executor(
                         self._executor, lambda: execute_block_fabric(
                             indexed, workers=self.fabric_workers,
-                            batch_lanes=self.batch_lanes, cache_dir=cache_dir))
+                            cache_dir=cache_dir))
                     self.breaker.record_success()
                     self.stats.fabric_blocks += 1
                 except Exception:

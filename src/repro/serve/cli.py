@@ -54,8 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="content-addressed result cache directory "
                               "(shared with sweep runs over the same dir)")
     p_serve.add_argument("--batch-lanes", type=int, default=8,
-                         help="cells advanced in lockstep per simulation "
-                              "block (default 8)")
+                         help="cells per executor block (default 8)")
     p_serve.add_argument("--batch-window-ms", type=float, default=2.0,
                          help="milliseconds a partial block waits to fill "
                               "before running anyway (default 2)")

@@ -14,42 +14,29 @@ provides a *cycle-approximate*, event-driven substrate instead:
   lock).  Reserving a resource returns the start/end times of the
   occupancy, which is exactly the information the manager models need to
   compute when a task becomes ready.
-* :class:`repro.sim.fifo.LatencyFifo` — a bounded FIFO with a
-  fall-through latency, modelling the New Args. / Finished Args. /
-  Ready-Tasks buffers between pipeline stages.
-* :class:`repro.sim.stats` — occupancy and counter statistics used by the
-  analysis layer.
-* :mod:`repro.sim.batch` — the vectorized multi-lane batch backend:
-  many independent runs advanced in lockstep over shared structural
-  compilations, byte-identical to the scalar engine (exposed lazily
-  below to keep the engine import light; the batch module pulls in the
-  system layer and numpy).
+* :mod:`repro.sim.batch` — the lane kernel, the specialised event loop
+  :meth:`repro.system.machine.Machine.run` takes for ideal and Nanos
+  runs, byte-identical to the generic loop (exposed lazily below to keep
+  the engine import light; the kernel module pulls in the system layer
+  and numpy).
 """
 
 from repro.sim.engine import Event, EventQueue, Simulator
-from repro.sim.fifo import FifoStats, LatencyFifo
-from repro.sim.resource import MultiResource, ResourceStats, SerialResource
-from repro.sim.stats import Counter, TimeWeightedStat, UtilizationTracker
+from repro.sim.resource import ResourceStats, SerialResource
 
 __all__ = [
     "Event",
     "EventQueue",
     "Simulator",
-    "LatencyFifo",
-    "FifoStats",
     "SerialResource",
-    "MultiResource",
     "ResourceStats",
-    "Counter",
-    "TimeWeightedStat",
-    "UtilizationTracker",
     "LaneProgram",
     "LaneSpec",
     "lane_fallback_reason",
     "run_lanes",
 ]
 
-#: Batch-backend symbols resolved lazily from :mod:`repro.sim.batch`
+#: Lane-kernel symbols resolved lazily from :mod:`repro.sim.batch`
 #: (it imports the system layer, which itself imports the event engine
 #: above — a lazy hook keeps the package import acyclic and light).
 _BATCH_EXPORTS = frozenset(

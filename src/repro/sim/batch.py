@@ -1,46 +1,34 @@
-"""Vectorized multi-lane batch-simulation backend.
+"""The lane kernel: :meth:`Machine.run`'s fast path for ideal and Nanos.
 
-A parameter sweep replays the *same trace* across many grid cells —
-seeds, core counts, managers — and the scalar engine pays the full
-per-event Python dispatch cost (simulator callbacks, outcome tuples,
-policy/pool indirection, per-access cell objects) once per cell.  This
-module advances many such runs as independent **lanes in lockstep**:
+:meth:`~repro.system.machine.Machine.run` replays a materialised trace
+on this specialised event loop whenever :func:`lane_fallback_reason`
+returns ``None``; every other run keeps the generic loop
+(``Machine._run_trace``), which stays the reference the kernel is tested
+against.  No option selects the path: it follows from the manager, the
+scheduler policy, the topology and the trace alone.
 
-* **structural compilation is shared across lanes.**  A trace is
+* **structural compilation is cached on the trace.**  A trace is
   compiled once into a :class:`LaneProgram`: per-task access rows from
   the existing :class:`~repro.trace.compiled.CompiledAccessProgram`,
   augmented (with numpy) by an address-major CSR of each address's
-  program-order access sequence and every access's position within it.
-  Because the master thread submits tasks in trace order, the per-address
-  OmpSs dependency state machine (:class:`~repro.taskgraph.address_state.
-  AddressCell`) collapses to **four small integers per (lane, address)**
-  — inserted cursor, activated cursor, active count, active-is-writer —
-  advanced over the static address-major arrays.  No cells, sets or
-  deques per lane.
-* **timing tables are folded across the task axis and shared across the
-  lane axis.**  Per-kernel cost columns (worker-overhead-inclusive
-  nominal durations, Nanos creation/lock-insertion costs) are computed
-  once per ``(program, kernel)`` with numpy elementwise arithmetic —
-  IEEE-identical to the scalar per-event expressions — and reused by
-  every lane of that kernel.
-* **each lane runs a specialized inlined event loop** (a generator):
-  a plain-tuple heap replicating the :class:`~repro.sim.engine.
-  EventQueue` ``(time, priority, sequence)`` discipline, flat
-  ``(lane, task)`` dependence-count/finished/dispatched state, an int
-  heap of idle cores and a deque of queued ready tasks.  The lockstep
-  driver round-robins fixed event slices over all live lanes.
+  program-order access sequence.  Because the master thread submits
+  tasks in trace order, the per-address OmpSs dependency state machine
+  (:class:`~repro.taskgraph.address_state.AddressCell`) collapses to
+  **four small integers per address** — inserted cursor, activated
+  cursor, active count, active-is-writer — advanced over the static
+  address-major arrays.  No cells, sets or deques.
+* **manager behaviour is constant-folded.**  A manager that publishes a
+  :class:`~repro.managers.base.LaneKernelSpec` (ideal and Nanos today)
+  is replayed arithmetically; the Nanos per-parameter costs depend only
+  on a task's access count, so they are small per-count tables.
+* **the event loop is inlined**: a plain-tuple heap replicating the
+  :class:`~repro.sim.engine.EventQueue` ``(time, priority, sequence)``
+  discipline, flat dependence-count/finished/dispatched state, an int
+  heap of idle cores and a deque of queued ready tasks.
 
-The scalar engine stays the reference oracle: lane kernels exist only
-for managers whose behaviour constant-folds (see
-:meth:`repro.managers.base.TaskManagerModel.lane_kernel` — ideal and
-Nanos today).  Every other lane — hardware managers with
-history-dependent pipeline contention, non-FIFO schedulers,
-heterogeneous topologies, sparse task ids — **falls back to the scalar
-engine inside the same batch**, so ``run_lanes`` is always exact:
-results are byte-identical to per-lane :meth:`~repro.system.machine.
-Machine.run` calls by construction on the fallback path and by the
-golden/differential harnesses (``tests/batch/``,
-``tests/golden/test_batch_equivalence.py``) on the vector path.
+Results — and the dispatched-event count — are byte-identical to the
+generic loop; the golden and differential suites (``tests/batch/``,
+``tests/golden/test_batch_equivalence.py``) pin the pairing.
 """
 
 from __future__ import annotations
@@ -48,25 +36,22 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.errors import SimulationError
 from repro.managers.base import LaneKernelSpec, TaskManagerModel
 from repro.system.results import MachineResult
-from repro.system.scheduling import make_policy
+from repro.system.scheduling import FifoPolicy, SchedulerPolicy
 from repro.system.timeline import TaskTimeline
-from repro.system.topology import resolve_topology
+from repro.system.topology import CoreTopology
 from repro.trace.dag import validate_schedule
 from repro.trace.trace import Trace
 
 #: Attribute under which a trace caches its lane program (``_compiled*``
 #: prefixed, so ``Trace.__getstate__`` excludes it from pickles).
 _LANE_PROGRAM_ATTR = "_compiled_lane_program"
-
-#: Events each live lane processes per lockstep round.
-DEFAULT_SLICE_EVENTS = 1024
 
 # Event op codes, mirroring repro.system.machine's compiled trace.
 _OP_SUBMIT = 0
@@ -76,7 +61,7 @@ _OP_WAIT_ON = 2
 
 @dataclass(frozen=True)
 class LaneSpec:
-    """One lane of a batch: a trace replayed on a manager under a config."""
+    """One run for :func:`run_lanes`: a trace replayed on a manager under a config."""
 
     trace: Trace
     manager: TaskManagerModel
@@ -84,20 +69,22 @@ class LaneSpec:
 
 
 class LaneProgram:
-    """Lane-invariant structural compilation of one trace.
+    """Manager-independent structural compilation of one trace.
 
     Everything here depends only on the trace — never on the manager,
-    core count or seed of a lane — so one program is shared by all lanes
-    (and cached on the trace object like the machine's compiled form).
+    core count or seed of a run — so one program is shared by every run
+    of the trace (and cached on the trace object like the machine's
+    compiled form).  Per-access and per-task lists hold references to
+    ints and floats the trace already owns wherever possible, so the
+    program adds little beyond its list slots.
     """
 
     __slots__ = (
-        "num_tasks", "num_events", "num_addresses",
-        "ops", "op_slot", "op_wait_task",
+        "num_tasks", "num_events", "num_addresses", "ops", "wait_task",
         "acc_off", "acc_aid", "acc_flags",
         "addr_off", "addr_task", "addr_flags",
-        "duration", "creation", "num_params_eff", "total_work_us",
-        "has_wait_on", "dense_ids", "_kernel_cache",
+        "duration", "creation", "max_params", "total_work_us",
+        "has_wait_on", "dense_ids",
     )
 
     def __init__(self, trace: Trace) -> None:
@@ -110,38 +97,23 @@ class LaneProgram:
         self.num_events = len(compiled.ops)
         self.num_addresses = program.num_addresses
         self.ops = compiled.ops
-        # Per-event operands: the submitted task's slot, and the
-        # structurally-precomputed `taskwait on` wait target (the last
-        # preceding writer of the address in trace order, or -1).  The
-        # scalar loop resolves the latter from a live last-writer dict,
-        # but the dict is only ever *grown* in trace order, so the
-        # resolution is static.
-        op_slot = [0] * self.num_events
-        op_wait_task = [-1] * self.num_events
+        # `taskwait on` targets, by event index: the last preceding
+        # writer of the address in trace order, or -1.  The generic loop
+        # resolves them from a live last-writer dict, but the dict is
+        # only ever *grown* in trace order, so the resolution is static.
         self.has_wait_on = _OP_WAIT_ON in self.ops
+        self.wait_task: Optional[Dict[int, int]] = None
         if self.has_wait_on:
+            wait_task: Dict[int, int] = {}
             last_writer: Dict[int, int] = {}
-            slot = 0
             for index, op in enumerate(self.ops):
                 if op == _OP_SUBMIT:
-                    task = compiled.tasks[index]
-                    op_slot[index] = slot
-                    slot += 1
+                    task_id = compiled.tasks[index].task_id
                     for address in compiled.write_addrs[index]:
-                        last_writer[address] = task.task_id
+                        last_writer[address] = task_id
                 elif op == _OP_WAIT_ON:
-                    op_wait_task[index] = last_writer.get(compiled.wait_addrs[index], -1)
-        else:
-            # No `taskwait on` anywhere: slots are assignable without
-            # walking write sets (a C-speed membership test above saves
-            # the per-task last-writer bookkeeping entirely).
-            slot = 0
-            for index, op in enumerate(self.ops):
-                if op == _OP_SUBMIT:
-                    op_slot[index] = slot
-                    slot += 1
-        self.op_slot = op_slot
-        self.op_wait_task = op_wait_task
+                    wait_task[index] = last_writer.get(compiled.wait_addrs[index], -1)
+            self.wait_task = wait_task
 
         # Task-major access rows (straight from the compiled program).
         self.acc_off = program.offsets
@@ -149,75 +121,60 @@ class LaneProgram:
         self.acc_flags = program.flags
 
         # Address-major CSR: each address's accesses in program order.
-        # Built with numpy once per trace; a stable argsort groups the
-        # flat task-major accesses by address while preserving the
-        # submission order within each address.
-        num_accesses = len(program.addr_ids)
-        if num_accesses:
+        # A stable argsort groups the flat task-major accesses by
+        # address while preserving the submission order within each
+        # address.  Task slots are looked up in the trace's own task-id
+        # list (slot == id for dense ids), so no new int objects are
+        # retained per access.
+        offsets = np.asarray(program.offsets, dtype=np.int64)
+        row_lengths = np.diff(offsets)
+        self.max_params = int(row_lengths.max()) if self.num_tasks else 0
+        if program.addr_ids:
             aid = np.asarray(program.addr_ids, dtype=np.int64)
-            offsets = np.asarray(program.offsets, dtype=np.int64)
             counts = np.bincount(aid, minlength=self.num_addresses)
             addr_off = np.zeros(self.num_addresses + 1, dtype=np.int64)
             np.cumsum(counts, out=addr_off[1:])
             order = np.argsort(aid, kind="stable")
             slot_of_access = np.repeat(
-                np.arange(self.num_tasks, dtype=np.int64), np.diff(offsets)
+                np.arange(self.num_tasks, dtype=np.int64), row_lengths
             )
-            flags = np.asarray(program.flags, dtype=np.int64)
+            slots = compiled.task_ids if self.dense_ids else list(range(self.num_tasks))
             self.addr_off = addr_off.tolist()
-            self.addr_task = slot_of_access[order].tolist()
-            self.addr_flags = flags[order].tolist()
-            num_params_eff = np.maximum(np.diff(offsets), 1)
+            self.addr_task = list(map(slots.__getitem__, slot_of_access[order].tolist()))
+            # Direction flags are 2-bit values: a bytes column indexes
+            # like a list of small ints at an eighth of the size.
+            self.addr_flags = np.asarray(program.flags, dtype=np.uint8)[order].tobytes()
         else:
             self.addr_off = [0] * (self.num_addresses + 1)
             self.addr_task = []
-            self.addr_flags = []
-            num_params_eff = np.ones(self.num_tasks, dtype=np.int64)
-        self.num_params_eff = num_params_eff
+            self.addr_flags = b""
 
         tasks = compiled.task_by_slot
         self.duration = [task.duration_us for task in tasks]
         self.creation = [task.creation_overhead_us for task in tasks]
-        # Cached once per trace; every lane's MachineResult repeats it
-        # (same left-to-right float sum as Trace.total_work_us).
+        # Cached once per trace; every MachineResult repeats it (same
+        # left-to-right float sum as Trace.total_work_us).
         self.total_work_us = trace.total_work_us
-        self._kernel_cache: Dict[LaneKernelSpec, Tuple[list, ...]] = {}
 
-    def kernel_columns(self, kern: LaneKernelSpec) -> Tuple[list, list, list]:
-        """Per-task cost columns of ``kern``, folded once and shared.
+    def nanos_tables(self, kern: LaneKernelSpec) -> Tuple[List[float], List[float]]:
+        """The Nanos per-task costs, indexed by a task's access count ``n``.
 
-        Returns ``(nominal, creation_pp, insert_cost)`` lists indexed by
-        task slot:
+        Returns ``(creation_pp, insert_cost)``:
 
-        * ``nominal[s]`` — worker occupancy ``worker_overhead +
-          duration`` (both kernels);
-        * ``creation_pp[s]`` — the Nanos per-parameter creation term
-          ``creation_per_param_us * max(1, num_accesses)``, kept as a
-          separate addend so the runtime sum ``(time + base) + pp``
-          associates exactly like the scalar expression;
-        * ``insert_cost[s]`` — the full Nanos locked-insertion cost
-          ``insert_lock_us + insert_lock_per_param_us * max(1, n)``.
+        * ``creation_pp[n]`` — ``creation_per_param_us * max(1, n)``,
+          kept as a separate addend so the runtime sum ``(time + base) +
+          pp`` associates exactly like the generic expression;
+        * ``insert_cost[n]`` — ``insert_lock_us + insert_lock_per_param_us
+          * max(1, n)``, the locked-insertion cost.
 
-        All three are numpy float64 elementwise expressions — the same
-        IEEE operations, in the same order, as the scalar per-event
-        arithmetic, hence byte-identical values.
+        Both are the generic per-event expressions evaluated once per
+        distinct count, hence byte-identical values.
         """
-        cached = self._kernel_cache.get(kern)
-        if cached is None:
-            durations = np.asarray(self.duration, dtype=np.float64)
-            nominal = (kern.worker_overhead_us + durations).tolist()
-            if kern.kind == "nanos":
-                params = self.num_params_eff.astype(np.float64)
-                creation_pp = (kern.creation_per_param_us * params).tolist()
-                insert_cost = (
-                    kern.insert_lock_us + kern.insert_lock_per_param_us * params
-                ).tolist()
-            else:
-                creation_pp = []
-                insert_cost = []
-            cached = (nominal, creation_pp, insert_cost)
-            self._kernel_cache[kern] = cached
-        return cached
+        counts = [max(1, n) for n in range(self.max_params + 1)]
+        creation_pp = [kern.creation_per_param_us * n for n in counts]
+        insert_cost = [kern.insert_lock_us + kern.insert_lock_per_param_us * n
+                       for n in counts]
+        return creation_pp, insert_cost
 
 
 def lane_program(trace: Trace) -> LaneProgram:
@@ -230,123 +187,93 @@ def lane_program(trace: Trace) -> LaneProgram:
 
 
 def lane_fallback_reason(
-    trace: object, manager: TaskManagerModel, config: "MachineConfig"  # noqa: F821
+    trace: object,
+    manager: TaskManagerModel,
+    policy: SchedulerPolicy,
+    topology: CoreTopology,
 ) -> Optional[str]:
-    """Why a lane must run on the scalar engine, or ``None`` if the
-    vectorized kernel applies.
+    """Why a run must take the generic loop, or ``None`` if the lane
+    kernel applies.
 
-    The lane-compatibility rules (documented in ``docs/performance.md``):
+    ``policy`` and ``topology`` are the machine's resolved scheduler and
+    core topology.  The rules (documented in ``docs/performance.md``):
     the manager must publish a :class:`~repro.managers.base.
     LaneKernelSpec`, the trace must be a materialised static trace with
-    dense task ids, dispatch must be FIFO over a homogeneous unit-speed
-    topology, and ``taskwait on`` pragmas require manager support (no
-    Nexus++-style degradation is folded into lane programs).
+    dense task ids, dispatch must be FIFO over unit-speed cores, and
+    ``taskwait on`` pragmas require manager support (no Nexus++-style
+    degradation is folded into lane programs).
     """
     if not isinstance(trace, Trace):
         return "not a materialised static trace"
-    kern = manager.lane_kernel()
-    if kern is None:
+    if manager.lane_kernel() is None:
         return f"manager {manager.name!r} publishes no lane kernel"
-    if make_policy(config.scheduler).name != "fifo":
+    if type(policy) is not FifoPolicy:
         return "non-FIFO scheduler policy"
-    topology = resolve_topology(config.topology, config.num_cores)
-    if any(speed != 1.0 for speed in topology.speed_factors):
+    if not topology.is_uniform_unit_speed:
         return "non-unit core speeds"
     prog = lane_program(trace)
     if not prog.dense_ids:
         return "sparse task ids"
     if prog.has_wait_on and not manager.supports_taskwait_on:
-        return "taskwait-on degradation requires the scalar master loop"
+        return "taskwait-on degradation requires the generic master loop"
     return None
 
 
-def run_lanes(
-    lanes: Sequence[LaneSpec],
-    *,
-    slice_events: int = DEFAULT_SLICE_EVENTS,
-) -> List[MachineResult]:
-    """Run every lane to completion; results in lane order.
+def run_lanes(lanes: Sequence[LaneSpec]) -> List[MachineResult]:
+    """Run each lane through :meth:`Machine.run`; results in lane order."""
+    from repro.system.machine import Machine
 
-    Vector-compatible lanes (see :func:`lane_fallback_reason`) advance
-    in lockstep rounds of ``slice_events`` events each; incompatible
-    lanes replay sequentially on the scalar engine afterwards.  An empty
-    batch returns an empty list without touching any engine.
+    return [Machine(lane.manager, lane.config).run(lane.trace) for lane in lanes]
+
+
+def lane_run(
+    trace: Trace,
+    manager: TaskManagerModel,
+    config: "MachineConfig",  # noqa: F821 - resolved via repro.system.machine
+    topology: CoreTopology,
+) -> Tuple[MachineResult, int]:
+    """Replay ``trace`` on the lane kernel; return the result and the
+    number of events dispatched (equal to the generic loop's count).
+
+    The caller has checked :func:`lane_fallback_reason`.  This inlines —
+    in replicated order — the generic stack for the FIFO / unit-speed /
+    dense-ids configuration: ``Machine._run_trace``'s master loop and
+    event handlers, ``EventQueue``'s ``(time, priority, sequence)`` heap
+    discipline, ``CorePool``'s lowest-id idle-core heap, ``FifoPolicy``'s
+    deque, the compiled ``DependencyTracker`` insert / finish semantics
+    reduced to per-address cursors, and the lane kernel's manager
+    arithmetic (including exact :meth:`~repro.sim.resource.
+    SerialResource.reserve` replication for the Nanos lock).  Any
+    behavioural change to the generic loop must land here too (the
+    golden and differential suites guard the pairing).
     """
-    if slice_events <= 0:
-        raise SimulationError(f"slice_events must be positive, got {slice_events}")
-    results: List[Optional[MachineResult]] = [None] * len(lanes)
-    live: List[Tuple[int, Generator[None, None, MachineResult]]] = []
-    fallback: List[int] = []
-    for index, lane in enumerate(lanes):
-        if lane_fallback_reason(lane.trace, lane.manager, lane.config) is None:
-            live.append((index, _lane_run(lane, slice_events)))
-        else:
-            fallback.append(index)
-    while live:
-        advancing: List[Tuple[int, Generator[None, None, MachineResult]]] = []
-        for index, gen in live:
-            try:
-                next(gen)
-            except StopIteration as stop:
-                results[index] = stop.value
-            else:
-                advancing.append((index, gen))
-        live = advancing
-    if fallback:
-        from repro.system.machine import Machine
-
-        for index in fallback:
-            lane = lanes[index]
-            results[index] = Machine(lane.manager, lane.config).run(lane.trace)
-    return results  # type: ignore[return-value] - every slot is filled above
-
-
-def _lane_run(
-    lane: LaneSpec, slice_events: int
-) -> Generator[None, None, MachineResult]:
-    """One lane's specialized event loop, yielding every ``slice_events``
-    task completions (the cheapest progress proxy on the hot path).
-
-    This inlines — in replicated order — the scalar stack for the FIFO /
-    homogeneous / dense-ids configuration: ``Machine._run_trace``'s
-    master loop and event handlers, ``EventQueue``'s ``(time, priority,
-    sequence)`` heap discipline, ``CorePool``'s lowest-id idle-core heap,
-    ``FifoPolicy``'s deque, the compiled ``DependencyTracker`` insert /
-    finish semantics reduced to per-address cursors, and the lane
-    kernel's manager arithmetic (including exact
-    :meth:`~repro.sim.resource.SerialResource.reserve` replication for
-    the Nanos lock).  Schedules are byte-identical to the scalar engine;
-    any behavioural change there must land here too (the batch golden
-    and differential suites guard the pairing).
-    """
-    trace = lane.trace
-    manager = lane.manager
-    config = lane.config
     kern = manager.lane_kernel()
     assert kern is not None
     prog = lane_program(trace)
-    nominal, creation_pp, insert_cost = prog.kernel_columns(kern)
 
     num_tasks = prog.num_tasks
     num_events = prog.num_events
     num_cores = config.num_cores
     ops = prog.ops
-    op_slot = prog.op_slot
-    op_wait_task = prog.op_wait_task
+    wait_task = prog.wait_task
     acc_off = prog.acc_off
     acc_aid = prog.acc_aid
     acc_flags = prog.acc_flags
     addr_off = prog.addr_off
     addr_task = prog.addr_task
     addr_flags = prog.addr_flags
+    durations = prog.duration
     creation = prog.creation
 
+    worker_overhead = kern.worker_overhead_us
     nanos = kern.kind == "nanos"
+    if nanos:
+        creation_pp, insert_cost = prog.nanos_tables(kern)
     creation_base = kern.creation_base_us
     finish_lock_us = kern.finish_lock_us
     wakeup_us = kern.wakeup_per_task_us
 
-    # --- per-lane flat state ------------------------------------------------
+    # --- flat run state -----------------------------------------------------
     num_addresses = prog.num_addresses
     dep_count = [0] * num_tasks
     finished = bytearray(num_tasks)
@@ -359,7 +286,7 @@ def _lane_run(
     heap: List[Tuple[float, int, int, int, int]] = []
     heappush = heapq.heappush
     heappop = heapq.heappop
-    seq = 0
+    seq = 0                          # events pushed (all are popped)
     idle = list(range(num_cores))    # already a valid min-heap
     ready_queue: deque = deque()
     rq_append = ready_queue.append
@@ -373,7 +300,7 @@ def _lane_run(
     master_done = False
     outstanding = 0
     finished_count = 0
-    inserted_count = 0
+    inserted_count = 0               # also the next submission's slot
     lock_free = 0.0                  # Nanos runtime lock (SerialResource)
     lock_reservations = 0
     lock_busy = 0.0
@@ -390,21 +317,21 @@ def _lane_run(
         core_arr = [-1] * num_tasks
 
     # --- main loop ----------------------------------------------------------
-    # The master advance is inlined into the generator body rather than
-    # kept as a closure: any variable shared with a nested function
-    # becomes a cell, which would turn every hot-path access in BOTH the
-    # master loop and the event loop into a (slower) dereference.  With
-    # everything a plain generator local, the interpreter uses fast
-    # locals throughout.
+    # The master advance is inlined into the loop rather than kept as a
+    # closure: any variable shared with a nested function becomes a
+    # cell, which would turn every hot-path access in BOTH the master
+    # loop and the event loop into a (slower) dereference.  With
+    # everything a plain local, the interpreter uses fast locals
+    # throughout.
     do_master = True
-    next_yield = slice_events
     while True:
         if do_master:
             do_master = False
             while event_index < num_events:
                 op = ops[event_index]
                 if op == _OP_SUBMIT:
-                    slot = op_slot[event_index]
+                    # Tasks are submitted in slot order (dense ids).
+                    slot = inserted_count
                     outstanding += 1
                     if collect:
                         submit_arr[slot] = master_time
@@ -412,6 +339,7 @@ def _lane_run(
                     # -- tracker insert: per-address cursor state machine --
                     index = acc_off[slot]
                     row_end = acc_off[slot + 1]
+                    params = row_end - index
                     deps = 0
                     while index < row_end:
                         address = acc_aid[index]
@@ -437,8 +365,8 @@ def _lane_run(
                     inserted_count += 1
                     # -- manager submit arithmetic --
                     if nanos:
-                        creation_done = (master_time + creation_base) + creation_pp[slot]
-                        cost = insert_cost[slot]
+                        creation_done = (master_time + creation_base) + creation_pp[params]
+                        cost = insert_cost[params]
                         lock_start = creation_done if creation_done > lock_free else lock_free
                         lock_end = lock_start + cost
                         lock_free = lock_end
@@ -473,7 +401,7 @@ def _lane_run(
                         heappush(heap, (master_time, 2, seq, -1, -1))
                         seq += 1
                         break
-                    # Inline-submission fast path, exactly as in the scalar
+                    # Inline-submission fast path, exactly as in the generic
                     # master loop: no pending event sorts before the next
                     # master step, so skip the queue bounce.
                     continue
@@ -483,8 +411,8 @@ def _lane_run(
                         continue
                     blocked_kind = 1
                     break
-                # op == _OP_WAIT_ON (manager support checked at lane admission)
-                waited = op_wait_task[event_index]
+                # op == _OP_WAIT_ON (manager support checked by lane_fallback_reason)
+                waited = wait_task[event_index]
                 if waited < 0 or finished[waited]:
                     event_index += 1
                     continue
@@ -563,12 +491,12 @@ def _lane_run(
                 seq += 1
             # The freed core picks up the next queued ready task, if any
             # (inlined core dispatch: heappop(idle) is the lowest idle id,
-            # matching CorePool on a homogeneous topology).
+            # matching CorePool on a unit-speed topology).
             heappush(idle, core)
             if ready_queue:
                 next_task = rq_popleft()
                 run_core = heappop(idle)
-                duration = nominal[next_task]
+                duration = worker_overhead + durations[next_task]
                 end = time + duration
                 core_busy_us += duration
                 busy_us[run_core] += duration
@@ -591,16 +519,13 @@ def _lane_run(
                     if not master_done:
                         heappush(heap, (master_time, 2, seq, -1, -1))
                         seq += 1
-            if finished_count >= next_yield:
-                next_yield = finished_count + slice_events
-                yield None
         elif priority == 1:  # task ready
             if dispatched[task_id]:
                 raise SimulationError(f"task {task_id} reported ready twice")
             dispatched[task_id] = 1
             if idle:
                 run_core = heappop(idle)
-                duration = nominal[task_id]
+                duration = worker_overhead + durations[task_id]
                 end = time + duration
                 core_busy_us += duration
                 busy_us[run_core] += duration
@@ -620,7 +545,7 @@ def _lane_run(
 
     makespan = now if now > master_time else master_time
 
-    # --- consistency checks (mirroring the scalar engine) --------------------
+    # --- consistency checks (mirroring the generic loop) ---------------------
     if finished_count != num_tasks:
         missing = num_tasks - finished_count
         raise SimulationError(
@@ -654,7 +579,7 @@ def _lane_run(
         }
 
     keep = config.keep_schedule and timeline is not None
-    return MachineResult(
+    result = MachineResult(
         trace_name=trace.name,
         manager_name=manager.name,
         num_cores=num_cores,
@@ -669,7 +594,8 @@ def _lane_run(
         core_busy_us=core_busy_us,
         manager_stats=manager_stats,
         scheduler="fifo",
-        topology=resolve_topology(config.topology, num_cores).describe(),
+        topology=topology.describe(),
         per_core_busy_us=tuple(busy_us),
         task_cores=timeline.core_dict() if keep else {},
     )
+    return result, seq

@@ -16,9 +16,8 @@ accumulates busy time so the analysis layer can report utilisation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import SimulationError
 
 
 @dataclass(slots=True)
@@ -110,52 +109,3 @@ class SerialResource:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SerialResource({self.name!r}, next_free={self._next_free:.3f})"
 
-
-class MultiResource:
-    """A pool of ``count`` identical serial servers (e.g. worker cores).
-
-    Reservations are placed on the server that frees up first, which is
-    the behaviour of a greedy work-conserving scheduler.
-    """
-
-    __slots__ = ("name", "count", "_free_times", "stats")
-
-    def __init__(self, name: str, count: int) -> None:
-        if count <= 0:
-            raise ConfigurationError(f"{name}: server count must be positive, got {count}")
-        self.name = name
-        self.count = count
-        self._free_times = [0.0] * count
-        self.stats = ResourceStats()
-
-    def reserve(self, earliest: float, duration: float) -> tuple[float, float, int]:
-        """Occupy the first available server; return ``(start, end, server_index)``."""
-        if duration < 0:
-            raise SimulationError(f"{self.name}: negative duration {duration}")
-        index = min(range(self.count), key=lambda i: self._free_times[i])
-        start = max(earliest, self._free_times[index])
-        end = start + duration
-        self._free_times[index] = end
-        self.stats.reservations += 1
-        self.stats.busy_time += duration
-        self.stats.total_wait += start - earliest
-        self.stats.last_busy_until = max(self.stats.last_busy_until, end)
-        return start, end, index
-
-    def earliest_available(self) -> float:
-        """Time at which at least one server is (or becomes) free."""
-        return min(self._free_times)
-
-    def reset(self) -> None:
-        """Forget all reservations."""
-        self._free_times = [0.0] * self.count
-        self.stats = ResourceStats()
-
-    def utilization(self, horizon: float) -> float:
-        """Aggregate utilisation over ``count`` servers up to ``horizon``."""
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self.stats.busy_time / (horizon * self.count))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"MultiResource({self.name!r}, count={self.count})"

@@ -38,27 +38,35 @@ With the default configuration (FIFO policy, homogeneous unit-speed
 topology) the schedule — and therefore every golden-trace makespan — is
 bit-identical to the pre-refactor monolithic loop.
 
-Two replay paths share the layers above:
+Three replay paths share the layers above:
 
 * :meth:`Machine.run` compiles a materialised trace into flat op arrays
-  (cached on the trace) — the fastest path when the trace fits in RAM;
+  (cached on the trace) — the fastest path when the trace fits in RAM.
+  When the manager publishes a lane kernel (ideal, Nanos), dispatch is
+  FIFO over unit-speed cores and task ids are dense, the trace replays
+  on the specialised loop in :mod:`repro.sim.batch` instead of the
+  generic one (:meth:`Machine._run_trace`); both give byte-identical
+  results and event counts;
 * :meth:`Machine.run_stream` pulls events incrementally from any
   :class:`~repro.trace.stream.TaskStream` through a windowed lookahead
   buffer, keeping live state bounded by the in-flight window — the path
   for million-task workloads (optionally back-pressured via
   ``max_in_flight``).  Default-configuration schedules are bit-identical
-  between the two paths.
+  to :meth:`Machine.run`'s;
+* :meth:`Machine.run_dynamic` replays programs that spawn tasks at
+  runtime (:mod:`repro.system.dynamic`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.common.errors import SimulationError
 from repro.common.validation import check_positive
 from repro.managers.base import TaskManagerModel
+from repro.sim.batch import lane_fallback_reason, lane_run
 from repro.sim.engine import Simulator
 from repro.system.results import MachineResult
 from repro.system.scheduling import PolicyLike, SchedulerPolicy, make_policy
@@ -211,6 +219,11 @@ class Machine:
     def run(self, trace: Union[Trace, DynamicProgram]) -> MachineResult:
         """Replay ``trace`` and return the resulting schedule and metrics.
 
+        A materialised trace runs on the lane kernel
+        (:func:`repro.sim.batch.lane_run`) when
+        :func:`~repro.sim.batch.lane_fallback_reason` allows it, and on
+        the generic loop (:meth:`_run_trace`) otherwise.
+
         A :class:`~repro.trace.dynamic.DynamicProgram` source runs on the
         dynamic engine with the **compiled** tracking path (a growable
         access program bound to the manager); see :meth:`run_dynamic`.
@@ -218,6 +231,10 @@ class Machine:
         if isinstance(trace, DynamicProgram):
             return self.run_dynamic(trace, compiled=True)
         try:
+            if lane_fallback_reason(trace, self.manager, self.policy, self.topology) is None:
+                result, self.last_events_processed = lane_run(
+                    trace, self.manager, self.config, self.topology)
+                return result
             return self._run_trace(trace)
         except BaseException:
             self._abandon()
@@ -239,6 +256,12 @@ class Machine:
             pass
 
     def _run_trace(self, trace: Trace) -> MachineResult:
+        """The generic loop: any manager, policy and topology.
+
+        The only path for the hardware managers, non-FIFO policies and
+        heterogeneous topologies, and the reference the lane kernel is
+        tested against.
+        """
         manager = self.manager
         manager.reset()
         # Hand the manager the trace's compiled access program so its
@@ -501,53 +524,6 @@ class Machine:
             task_cores=timeline.core_dict() if keep else {},
         )
 
-    def run_batch(
-        self,
-        traces: Iterable[Trace],
-        *,
-        lane_cores: Optional[Sequence[int]] = None,
-        slice_events: Optional[int] = None,
-    ) -> List[MachineResult]:
-        """Replay many traces as lockstep lanes of the batch engine.
-
-        Each trace becomes one lane; ``lane_cores`` optionally overrides
-        the core count per lane (defaulting every lane to this machine's
-        ``num_cores``), which is how a sweep grid cell — the same
-        workload across seeds and core counts — maps onto one batch.
-        Lanes whose configuration the vectorized kernel supports (see
-        :func:`repro.sim.batch.lane_fallback_reason`) advance in
-        lockstep; the rest replay sequentially on the scalar engine
-        inside the same call.  Results are **byte-identical** to
-        per-trace :meth:`run` calls and returned in lane order; an empty
-        batch returns ``[]`` without touching either engine.
-        """
-        from dataclasses import replace
-
-        from repro.sim.batch import DEFAULT_SLICE_EVENTS, LaneSpec, run_lanes
-
-        traces = list(traces)
-        if lane_cores is None:
-            cores = [self.config.num_cores] * len(traces)
-        else:
-            cores = list(lane_cores)
-            if len(cores) != len(traces):
-                raise SimulationError(
-                    f"lane_cores has {len(cores)} entries for {len(traces)} lanes"
-                )
-        lanes = [
-            LaneSpec(
-                trace=trace,
-                manager=self.manager,
-                config=self.config if count == self.config.num_cores
-                else replace(self.config, num_cores=count),
-            )
-            for trace, count in zip(traces, cores)
-        ]
-        return run_lanes(
-            lanes,
-            slice_events=DEFAULT_SLICE_EVENTS if slice_events is None else slice_events,
-        )
-
     def run_stream(
         self,
         stream: StreamLike,
@@ -586,9 +562,10 @@ class Machine:
         ``validate=True`` additionally records the events to check the
         schedule against the reference DAG.
 
-        .. note:: This loop deliberately mirrors :meth:`run` (which keeps
-           its compiled-array hot path) with dict-backed state; any
-           behavioural change to one loop must be applied to both, and is
+        .. note:: This loop deliberately mirrors :meth:`_run_trace` (which
+           keeps its compiled-array hot path) with dict-backed state; any
+           behavioural change to one loop must be applied to both (and to
+           the lane kernel in :mod:`repro.sim.batch`), and is
            guarded by the golden equivalence tests plus the
            scheduler/topology parity matrix in
            ``tests/system/test_run_stream.py``.
@@ -973,44 +950,6 @@ def simulate(
         ),
     )
     return machine.run(trace)
-
-
-def simulate_batch(
-    traces: Iterable[Trace],
-    manager: TaskManagerModel,
-    num_cores: int,
-    *,
-    lane_cores: Optional[Sequence[int]] = None,
-    validate: bool = False,
-    keep_schedule: bool = True,
-    scheduler: PolicyLike = "fifo",
-    topology: TopologyLike = "homogeneous",
-) -> List[MachineResult]:
-    """Convenience wrapper around :meth:`Machine.run_batch`.
-
-    >>> from repro.managers.ideal import IdealManager
-    >>> from repro.trace.trace import TraceBuilder
-    >>> builder = TraceBuilder("two-independent")
-    >>> _ = builder.add_task("a", duration_us=10.0, outputs=[0x1000])
-    >>> _ = builder.add_task("b", duration_us=10.0, outputs=[0x1040])
-    >>> builder.add_taskwait()
-    >>> trace = builder.build()
-    >>> results = simulate_batch([trace, trace], IdealManager(), num_cores=2,
-    ...                          lane_cores=[2, 1])
-    >>> [r.makespan_us for r in results]
-    [10.0, 20.0]
-    """
-    machine = Machine(
-        manager,
-        MachineConfig(
-            num_cores=num_cores,
-            validate=validate,
-            keep_schedule=keep_schedule,
-            scheduler=scheduler,
-            topology=topology,
-        ),
-    )
-    return machine.run_batch(traces, lane_cores=lane_cores)
 
 
 def simulate_stream(

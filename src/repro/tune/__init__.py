@@ -15,7 +15,7 @@ SweepSpec` grids executed through the cached
 * fidelity is **cumulative**: a survivor's earlier cells are content-
   addressed cache hits, making re-promotion free;
 * a warm re-run of the same search executes zero simulations;
-* ``n_jobs`` / ``--workers`` / ``--batch-lanes`` parallelism applies
+* ``n_jobs`` / ``--workers`` parallelism applies
   unchanged, as does deterministic chaos injection.
 
 ``python -m repro.tune`` is the command-line entry point.

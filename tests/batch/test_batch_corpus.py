@@ -1,17 +1,16 @@
 """Replay the pinned batch corpus — the hypothesis-free regression layer.
 
 Every corpus spec's serial elaboration runs under all four golden
-managers through both engines (``Machine.run`` scalar oracle,
-:func:`repro.sim.batch.run_lanes` batch backend), asserting full
-result byte-identity, plus exact determinism of repeated batch runs
-and the slice-size independence of the lockstep driver.
+managers through both paths of the machine (``Machine.run``, which
+takes the lane kernel for ideal/Nanos, and the generic loop
+``Machine._run_trace``), asserting full result byte-identity and equal
+event counts, plus exact determinism of repeated kernel runs.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.batch import LaneSpec, run_lanes
 from repro.system.machine import Machine, MachineConfig
 from repro.workloads.fuzz import fuzz_program
 
@@ -28,73 +27,44 @@ def _trace(spec):
 
 @pytest.mark.parametrize("spec", BATCH_CORPUS, ids=CORPUS_IDS)
 @pytest.mark.parametrize("manager_key", MANAGER_IDS)
-def test_corpus_scalar_vs_batch(spec, manager_key):
+def test_corpus_run_vs_generic_loop(spec, manager_key):
     factory = BATCH_TEST_MANAGERS[manager_key]
     trace = _trace(spec)
     config = MachineConfig(num_cores=4, validate=True)
 
-    scalar = Machine(factory(), config).run(trace)
-    (batch,) = run_lanes([LaneSpec(trace=trace, manager=factory(), config=config)])
+    generic_machine = Machine(factory(), config)
+    generic = generic_machine._run_trace(trace)
+    machine = Machine(factory(), config)
 
-    assert scalar == batch
+    assert machine.run(trace) == generic
+    assert machine.last_events_processed == generic_machine.last_events_processed
 
 
 @pytest.mark.parametrize("manager_key", MANAGER_IDS)
-def test_corpus_as_one_mixed_batch(manager_key):
-    """The whole corpus as one lane batch, each lane a different trace
-    and core count, equals the per-trace scalar runs."""
+def test_corpus_across_core_counts(manager_key):
+    """Each corpus trace at a different core count equals its generic
+    loop run."""
     factory = BATCH_TEST_MANAGERS[manager_key]
     traces = [_trace(spec) for spec in BATCH_CORPUS]
     configs = [
         MachineConfig(num_cores=cores, validate=True)
         for cores in (1, 2, 3, 4, 8, 16)
     ]
-    scalars = [
+    assert [
         Machine(factory(), config).run(trace)
         for trace, config in zip(traces, configs)
-    ]
-    batch = run_lanes([
-        LaneSpec(trace=trace, manager=factory(), config=config)
+    ] == [
+        Machine(factory(), config)._run_trace(trace)
         for trace, config in zip(traces, configs)
-    ])
-    assert batch == scalars
-
-
-def test_corpus_batch_runs_are_exactly_deterministic():
-    lanes = [
-        LaneSpec(
-            trace=_trace(spec),
-            manager=BATCH_TEST_MANAGERS["nanos"](),
-            config=MachineConfig(num_cores=4),
-        )
-        for spec in BATCH_CORPUS
     ]
-    first = run_lanes(lanes)
-    second = run_lanes([
-        LaneSpec(
-            trace=lane.trace,
-            manager=BATCH_TEST_MANAGERS["nanos"](),
-            config=lane.config,
-        )
-        for lane in lanes
-    ])
-    assert first == second
 
 
-@pytest.mark.parametrize("slice_events", [1, 7, 64, 10**9])
-def test_lockstep_slice_size_is_unobservable(slice_events):
-    """The lockstep granularity only controls interleaving fairness —
-    never results."""
-    factory = BATCH_TEST_MANAGERS["ideal"]
-    traces = [_trace(spec) for spec in BATCH_CORPUS[:3]]
+def test_corpus_kernel_runs_are_exactly_deterministic():
+    traces = [_trace(spec) for spec in BATCH_CORPUS]
     config = MachineConfig(num_cores=4)
 
-    def lanes():
-        return [
-            LaneSpec(trace=trace, manager=factory(), config=config)
-            for trace in traces
-        ]
+    def run_all():
+        return [Machine(BATCH_TEST_MANAGERS["nanos"](), config).run(trace)
+                for trace in traces]
 
-    reference = run_lanes(lanes())
-    sliced = run_lanes(lanes(), slice_events=slice_events)
-    assert sliced == reference
+    assert run_all() == run_all()

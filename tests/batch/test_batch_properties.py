@@ -1,42 +1,37 @@
-"""Structural properties of the batch backend: lane isolation and edges.
+"""Structural properties of the lane kernel: edges and memory discipline.
 
-Beyond the differential suite (which checks *equivalence*), these tests
-pin down the batch engine's contract:
+Beyond the differential suite (which checks *equivalence* with the
+generic loop), these tests pin down the kernel's contract:
 
-* **straggler isolation** — a lane that finishes almost immediately, or
-  one that runs an order of magnitude longer than its siblings, must not
-  perturb any other lane's result relative to a solo run;
-* **edge cases** — empty batches, zero-task traces and single-task
+* **edge cases** — empty lane lists, zero-task traces and single-task
   traces go through the same code paths without special-casing;
-* **memory discipline** — ``keep_schedule=False`` lanes must never
-  allocate per-lane timelines (that is the whole point of the flag on
-  very large sweeps).
+* **memory discipline** — ``keep_schedule=False`` runs must never
+  allocate timelines (that is the whole point of the flag on very large
+  sweeps), and a trace's lane program holds no per-run state.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 import repro.sim.batch as batch_module
-from repro.sim.batch import LaneSpec, run_lanes
-from repro.system.machine import Machine, MachineConfig
+from repro.sim.batch import LaneSpec, lane_program, run_lanes
+from repro.system.machine import Machine, MachineConfig, _compile_trace
 from repro.trace.trace import TraceBuilder
 from repro.workloads.fuzz import FuzzSpec, fuzz_program
+from repro.workloads.sparselu import generate_sparselu
 
 from batch_manager_factories import BATCH_TEST_MANAGERS, KERNEL_MANAGERS
 
 
-def _spec(seed: int, *, duration_scale: float = 1.0) -> FuzzSpec:
+def _spec(seed: int) -> FuzzSpec:
     return FuzzSpec(
         seed=seed,
         max_depth=2,
         max_children=3,
         roots=4,
         conflict_density=0.4,
-        duration_range_us=(0.0, 30.0 * duration_scale),
+        duration_range_us=(0.0, 30.0),
         max_tasks=80,
     )
 
@@ -46,99 +41,65 @@ def _trace(spec: FuzzSpec):
 
 
 # ---------------------------------------------------------------------------
-# Straggler isolation
-# ---------------------------------------------------------------------------
-
-@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
-       manager_key=st.sampled_from(sorted(BATCH_TEST_MANAGERS)))
-@settings(max_examples=10, deadline=None)
-def test_long_straggler_does_not_perturb_siblings(seed, manager_key):
-    """One lane with 10x-longer tasks keeps draining long after its
-    siblings retire; their results must equal their solo runs exactly."""
-    factory = BATCH_TEST_MANAGERS[manager_key]
-    siblings = [_trace(_spec(seed)), _trace(_spec(seed ^ 0x5A5A5A))]
-    straggler = _trace(_spec(seed, duration_scale=10.0))
-    config = MachineConfig(num_cores=4, validate=True)
-
-    solo = [Machine(factory(), config).run(trace) for trace in siblings]
-    batch = run_lanes([
-        LaneSpec(trace=siblings[0], manager=factory(), config=config),
-        LaneSpec(trace=straggler, manager=factory(), config=config),
-        LaneSpec(trace=siblings[1], manager=factory(), config=config),
-    ])
-    assert batch[0] == solo[0]
-    assert batch[2] == solo[1]
-    # And the straggler itself equals its own solo run.
-    assert batch[1] == Machine(factory(), config).run(straggler)
-
-
-@pytest.mark.parametrize("manager_key", sorted(BATCH_TEST_MANAGERS))
-def test_early_finisher_does_not_perturb_siblings(manager_key):
-    """A lane that retires after a single event slice leaves the
-    still-running lanes bit-identical to their solo runs."""
-    factory = BATCH_TEST_MANAGERS[manager_key]
-    quick = TraceBuilder("quick")
-    quick.add_task("only", duration_us=0.25, outputs=[0x10])
-    quick_trace = quick.build()
-    long_traces = [_trace(_spec(77)), _trace(_spec(78))]
-    config = MachineConfig(num_cores=3, validate=True)
-
-    solo = [Machine(factory(), config).run(trace) for trace in long_traces]
-    batch = run_lanes(
-        [LaneSpec(trace=quick_trace, manager=factory(), config=config)]
-        + [LaneSpec(trace=t, manager=factory(), config=config) for t in long_traces],
-        slice_events=1,  # retire the quick lane at the first opportunity
-    )
-    assert batch[1] == solo[0]
-    assert batch[2] == solo[1]
-    assert batch[0] == Machine(factory(), config).run(quick_trace)
-
-
-# ---------------------------------------------------------------------------
 # Edge cases
 # ---------------------------------------------------------------------------
 
-def test_empty_batch_returns_empty_list():
+def test_empty_lane_list_returns_empty_list():
     assert run_lanes([]) == []
 
 
 @pytest.mark.parametrize("manager_key", sorted(BATCH_TEST_MANAGERS))
-def test_zero_task_trace_matches_scalar(manager_key):
+def test_run_lanes_equals_per_lane_runs(manager_key):
+    factory = BATCH_TEST_MANAGERS[manager_key]
+    traces = [_trace(_spec(seed)) for seed in (11, 12, 13)]
+    configs = [MachineConfig(num_cores=cores) for cores in (1, 3, 8)]
+
+    lanes = run_lanes([
+        LaneSpec(trace=trace, manager=factory(), config=config)
+        for trace, config in zip(traces, configs)
+    ])
+    assert lanes == [
+        Machine(factory(), config)._run_trace(trace)
+        for trace, config in zip(traces, configs)
+    ]
+
+
+@pytest.mark.parametrize("manager_key", sorted(BATCH_TEST_MANAGERS))
+def test_zero_task_trace_matches_generic_loop(manager_key):
     factory = BATCH_TEST_MANAGERS[manager_key]
     trace = TraceBuilder("empty").build()
     config = MachineConfig(num_cores=2)
 
-    scalar = Machine(factory(), config).run(trace)
-    (batch,) = run_lanes([LaneSpec(trace=trace, manager=factory(), config=config)])
-    assert batch == scalar
-    assert batch.makespan_us == 0.0
+    generic = Machine(factory(), config)._run_trace(trace)
+    result = Machine(factory(), config).run(trace)
+    assert result == generic
+    assert result.makespan_us == 0.0
 
 
 @pytest.mark.parametrize("manager_key", sorted(BATCH_TEST_MANAGERS))
-def test_single_task_trace_matches_scalar(manager_key):
+def test_single_task_trace_matches_generic_loop(manager_key):
     factory = BATCH_TEST_MANAGERS[manager_key]
     builder = TraceBuilder("single")
     builder.add_task("t0", duration_us=5.0, outputs=[0x10])
     trace = builder.build()
     config = MachineConfig(num_cores=1, validate=True)
 
-    scalar = Machine(factory(), config).run(trace)
-    (batch,) = run_lanes([LaneSpec(trace=trace, manager=factory(), config=config)])
-    assert batch == scalar
+    generic = Machine(factory(), config)._run_trace(trace)
+    assert Machine(factory(), config).run(trace) == generic
 
 
 # ---------------------------------------------------------------------------
-# Memory discipline: keep_schedule=False must not build timelines
+# Memory discipline
 # ---------------------------------------------------------------------------
 
 class _ForbiddenTimeline:
-    """Stands in for TaskTimeline when no lane may materialize one."""
+    """Stands in for TaskTimeline when no run may materialize one."""
 
     @staticmethod
     def from_columns(*args, **kwargs):
         raise AssertionError(
-            "keep_schedule=False lane built a TaskTimeline — the batch "
-            "backend must skip per-lane schedule collection entirely"
+            "keep_schedule=False run built a TaskTimeline — the lane "
+            "kernel must skip schedule collection entirely"
         )
 
 
@@ -148,16 +109,26 @@ def test_keep_schedule_false_allocates_no_timelines(manager_key, monkeypatch):
     traces = [_trace(_spec(s)) for s in (301, 302, 303)]
     config = MachineConfig(num_cores=4, keep_schedule=False)
 
-    reference = [Machine(factory(), config).run(trace) for trace in traces]
+    reference = [Machine(factory(), config)._run_trace(trace) for trace in traces]
 
     monkeypatch.setattr(batch_module, "TaskTimeline", _ForbiddenTimeline)
-    batch = run_lanes([
-        LaneSpec(trace=trace, manager=factory(), config=config)
-        for trace in traces
-    ])
+    results = [Machine(factory(), config).run(trace) for trace in traces]
 
-    assert batch == reference
-    for result in batch:
+    assert results == reference
+    for result in results:
         assert result.start_times == {}
         assert result.finish_times == {}
         assert result.task_cores == {}
+
+
+def test_lane_program_shares_the_traces_task_ids():
+    """The address-major task column reuses the trace's own task-id
+    ints (beyond CPython's small-int cache, so identity is meaningful),
+    and no `taskwait on` table exists without the pragma."""
+    trace = generate_sparselu(scale=0.02, seed=7)
+    assert trace.num_tasks > 256
+    prog = lane_program(trace)
+    task_ids = {id(task_id) for task_id in _compile_trace(trace).task_ids}
+    assert len(prog.addr_task) > trace.num_tasks
+    assert all(id(slot) in task_ids for slot in prog.addr_task)
+    assert not prog.has_wait_on and prog.wait_task is None

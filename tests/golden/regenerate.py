@@ -6,7 +6,9 @@ Run from the repository root after an *intentional* behaviour change::
 
 The script writes one small, seeded trace per workload generator to
 ``tests/golden/data/`` and records the exact makespan of each trace
-under every golden manager in ``expected_makespans.json``.  Dynamic
+under every golden manager in ``expected_makespans.json``, computed on
+the machine's generic loop (``Machine._run_trace``, the reference for
+the lane kernel that ``Machine.run`` takes for ideal and Nanos).  Dynamic
 (insert-while-running) programs get the same treatment: their serial
 elaboration is committed as ``dyn_<key>.json.gz`` and their
 *dynamic-run* makespans are pinned per manager.  The paired tests
@@ -18,7 +20,8 @@ that commits it.
 ``--check`` recomputes everything in memory and compares against the
 committed files without writing, exiting non-zero on any drift — the CI
 guard that the committed goldens and the generators cannot diverge
-silently::
+silently.  It also replays every golden trace through ``Machine.run``
+and requires the lane kernel's makespans to match::
 
     PYTHONPATH=src python tests/golden/regenerate.py --check
 """
@@ -30,7 +33,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.system.machine import Machine, MachineConfig, simulate
+from repro.system.machine import Machine, MachineConfig
 from repro.trace.serialization import save_trace, trace_digest
 
 from golden_config import (
@@ -51,8 +54,8 @@ def compute_expected() -> dict:
     for key, trace in golden_traces().items():
         makespans = {}
         for manager_key, factory in GOLDEN_MANAGERS.items():
-            result = simulate(trace, factory(), num_cores=GOLDEN_CORES, validate=True)
-            makespans[manager_key] = result.makespan_us
+            machine = Machine(factory(), MachineConfig(num_cores=GOLDEN_CORES, validate=True))
+            makespans[manager_key] = machine._run_trace(trace).makespan_us
         traces[key] = {
             "trace_digest": trace_digest(trace),
             "num_tasks": trace.num_tasks,
@@ -94,28 +97,22 @@ def regenerate() -> int:
 
 
 def check_batch_equivalence(computed: dict) -> list[str]:
-    """Replay every golden trace through the batched lane backend — one
-    full 8-lane batch per golden manager — and compare each lane's
-    makespan against the regenerated expected values.  Guards the batch
-    engine's byte-identity contract at the same choke point that guards
-    the goldens themselves."""
-    from repro.sim.batch import LaneSpec, run_lanes
-
+    """Replay every golden trace through ``Machine.run`` — the lane
+    kernel for ideal and Nanos — under every golden manager and compare
+    each makespan against the generic-loop values just computed.  Guards
+    the kernel's byte-identity contract at the same choke point that
+    guards the goldens themselves."""
     failures: list[str] = []
-    traces = golden_traces()
-    keys = sorted(traces)
+    traces = sorted(golden_traces().items())
     config = MachineConfig(num_cores=GOLDEN_CORES)
     for manager_key, factory in GOLDEN_MANAGERS.items():
-        lanes = run_lanes([
-            LaneSpec(trace=traces[key], manager=factory(), config=config)
-            for key in keys
-        ])
-        for key, lane in zip(keys, lanes):
+        for key, trace in traces:
+            makespan = Machine(factory(), config).run(trace).makespan_us
             expected = computed["traces"][key]["makespans_us"][manager_key]
-            if lane.makespan_us != expected:
+            if makespan != expected:
                 failures.append(
-                    f"batch backend [{manager_key}/{key}]: batched makespan "
-                    f"{lane.makespan_us!r} != scalar {expected!r}")
+                    f"Machine.run [{manager_key}/{key}]: makespan "
+                    f"{makespan!r} != generic loop {expected!r}")
     return failures
 
 
@@ -159,7 +156,7 @@ def check() -> int:
         return 1
     print(f"goldens clean: {len(committed_files)} traces, "
           f"{len(computed['traces'])} static + {len(computed['dynamic'])} dynamic "
-          "makespan sets match; batched lane replay identical under "
+          "makespan sets match; Machine.run identical to the generic loop under "
           f"{len(GOLDEN_MANAGERS)} managers")
     return 0
 

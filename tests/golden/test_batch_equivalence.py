@@ -1,13 +1,14 @@
-"""Batch-vs-scalar golden equivalence.
+"""Lane-kernel-vs-generic-loop golden equivalence.
 
-The batched lane backend (:func:`repro.sim.batch.run_lanes`) must
-reproduce the committed golden makespans **byte-identically** — the
-golden-trace guarantee extended to batched sweeps.  Every committed
-golden trace is replayed under all four golden managers at several lane
-widths (a single lane, a partial batch of 3, a full batch of 8), and a
-mixed-lane cell (different seeds and core counts per lane, the shape a
-real sweep grid produces) is checked lane-by-lane against solo scalar
-runs.
+``Machine.run`` replays ideal and Nanos traces on the lane kernel
+(:mod:`repro.sim.batch`) and everything else on the generic loop
+(``Machine._run_trace``).  Both must reproduce the committed golden
+makespans **byte-identically**: every committed golden trace is replayed
+under all four golden managers through both paths, and the ideal/Nanos
+kernel runs are additionally checked at several core counts for equal
+results *and* equal dispatched-event counts (``last_events_processed``
+feeds the throughput metrics, so the kernel must count exactly like the
+generic loop).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.sim.batch import LaneSpec, run_lanes
+from repro.sim.batch import lane_fallback_reason
 from repro.system.machine import Machine, MachineConfig
 from repro.trace.serialization import load_trace
 from repro.workloads.sparselu import generate_sparselu
@@ -31,10 +32,10 @@ EXPECTED = json.loads((GOLDEN_DIR / "expected_makespans.json").read_text(encodin
 
 TRACE_KEYS = sorted(EXPECTED["traces"])
 MANAGER_KEYS = list(GOLDEN_MANAGERS)
+KERNEL_MANAGER_KEYS = ("ideal", "nanos")
 
-#: Lane widths exercised per golden trace: degenerate single-lane batch,
-#: a partial batch, and a full 8-wide batch.
-LANE_COUNTS = (1, 3, 8)
+#: Core counts the event-count check sweeps (the golden count is 8).
+EVENT_CORES = (1, 3, 8, 32)
 
 
 @lru_cache(maxsize=None)
@@ -42,59 +43,61 @@ def _golden_trace(key: str):
     return load_trace(DATA_DIR / f"{key}.json.gz")
 
 
-@lru_cache(maxsize=None)
-def _scalar_oracle(key: str, manager_key: str):
-    factory = GOLDEN_MANAGERS[manager_key]
-    config = MachineConfig(num_cores=EXPECTED["cores"])
-    return Machine(factory(), config).run(_golden_trace(key))
+def _both_paths(factory, config, trace):
+    """``(generic machine, generic result, run machine, run result)``."""
+    generic_machine = Machine(factory(), config)
+    generic = generic_machine._run_trace(trace)
+    machine = Machine(factory(), config)
+    return generic_machine, generic, machine, machine.run(trace)
 
 
 @pytest.mark.parametrize("manager_key", MANAGER_KEYS)
 @pytest.mark.parametrize("key", TRACE_KEYS)
-def test_batched_replay_matches_golden_makespans(key, manager_key):
-    """Every lane of every batch width equals the scalar oracle — and the
-    oracle equals the committed golden makespan."""
+def test_run_matches_generic_loop_and_golden_makespans(key, manager_key):
+    """Machine.run equals the generic loop — and both equal the
+    committed golden makespan."""
     trace = _golden_trace(key)
-    factory = GOLDEN_MANAGERS[manager_key]
     config = MachineConfig(num_cores=EXPECTED["cores"])
     expected = EXPECTED["traces"][key]["makespans_us"][manager_key]
 
-    scalar = _scalar_oracle(key, manager_key)
-    assert scalar.makespan_us == expected, (
-        f"{manager_key} on golden {key}: scalar oracle itself drifted "
+    _, generic, machine, result = _both_paths(GOLDEN_MANAGERS[manager_key], config, trace)
+    assert generic.makespan_us == expected, (
+        f"{manager_key} on golden {key}: the generic loop itself drifted "
         f"from the committed makespan"
     )
+    assert result == generic, (
+        f"{manager_key} on golden {key}: Machine.run diverged from the "
+        f"generic loop — makespan {result.makespan_us!r} != golden {expected!r}"
+    )
+    if manager_key in KERNEL_MANAGER_KEYS:
+        assert lane_fallback_reason(trace, machine.manager, machine.policy,
+                                    machine.topology) is None, (
+            f"{manager_key} on golden {key} fell back to the generic loop, "
+            "so this test compared the generic loop with itself"
+        )
 
-    for lane_count in LANE_COUNTS:
-        lanes = run_lanes([
-            LaneSpec(trace=trace, manager=factory(), config=config)
-            for _ in range(lane_count)
-        ])
-        assert len(lanes) == lane_count
-        for index, lane in enumerate(lanes):
-            assert lane == scalar, (
-                f"{manager_key} on golden {key}: lane {index} of a "
-                f"{lane_count}-lane batch diverged from Machine.run — "
-                f"batched makespan {lane.makespan_us!r} != golden {expected!r}"
-            )
+
+@pytest.mark.parametrize("cores", EVENT_CORES)
+@pytest.mark.parametrize("manager_key", KERNEL_MANAGER_KEYS)
+@pytest.mark.parametrize("key", TRACE_KEYS)
+def test_kernel_event_counts_match_generic_loop(key, manager_key, cores):
+    """``last_events_processed`` after a kernel run equals the generic
+    loop's ``Simulator.processed_events``, and so do the results."""
+    generic_machine, generic, machine, result = _both_paths(
+        GOLDEN_MANAGERS[manager_key], MachineConfig(num_cores=cores), _golden_trace(key))
+    assert result == generic
+    assert machine.last_events_processed == generic_machine.last_events_processed > 0
 
 
 @pytest.mark.parametrize("manager_key", MANAGER_KEYS)
-def test_mixed_lane_cell_matches_solo_runs(manager_key):
-    """A sweep-shaped mixed cell — one lane per (seed, cores) point, all
-    different — equals the corresponding solo scalar runs exactly."""
+def test_sweep_shaped_cell_matches_generic_loop(manager_key):
+    """A sweep-shaped cell — one run per (seed, cores) point, all
+    different — equals the corresponding generic-loop runs exactly."""
     factory = GOLDEN_MANAGERS[manager_key]
     cell = [
-        (generate_sparselu(scale=0.02, seed=GOLDEN_SEED + index), cores)
+        (generate_sparselu(scale=0.02, seed=GOLDEN_SEED + index), MachineConfig(num_cores=cores))
         for index, cores in enumerate((2, 4, 8, 16))
     ]
-    solo = [
-        Machine(factory(), MachineConfig(num_cores=cores)).run(trace)
-        for trace, cores in cell
+    assert [Machine(factory(), config).run(trace) for trace, config in cell] == [
+        Machine(factory(), config)._run_trace(trace) for trace, config in cell
     ]
-    batch = run_lanes([
-        LaneSpec(trace=trace, manager=factory(),
-                 config=MachineConfig(num_cores=cores))
-        for trace, cores in cell
-    ])
-    assert batch == solo

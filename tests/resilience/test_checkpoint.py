@@ -20,7 +20,7 @@ import repro
 from repro.common.errors import SimulationError
 from repro.distributed.scheduler import SweepScheduler
 from repro.distributed.worker import run_worker
-from repro.experiments.runner import SweepRunner, intern_jobs, run_job
+from repro.experiments.runner import SweepRunner, execute_lane_block, intern_jobs, run_job
 from repro.experiments.spec import SweepSpec
 from repro.resilience.journal import FrontierJournal
 
@@ -117,14 +117,13 @@ class TestSchedulerSigkillResume:
             return real_machine_run(self, *args, **kwargs)
 
         executed_cells = []
-        real_run_job = run_job
 
-        def recording_run_job(job):
-            executed_cells.append(job[0])
-            return real_run_job(job)
+        def recording_execute_lane_block(block):
+            executed_cells.extend(index for index, _ in block)
+            return execute_lane_block(block)
 
         monkeypatch.setattr(Machine, "run", counting_machine_run)
-        monkeypatch.setattr(runner_module, "run_job", recording_run_job)
+        monkeypatch.setattr(runner_module, "execute_lane_block", recording_execute_lane_block)
 
         pending = list(enumerate(spec.points()))
         jobs, table = intern_jobs(pending)
