@@ -37,8 +37,9 @@ from repro.trace.trace import Trace
 #: configuration field (e.g. a manager scheduling fix) — cache keys hash
 #: the experiment *configuration* plus this constant and the package
 #: version, so behaviour-only changes must invalidate entries manually.
-#: The golden-trace tests (tests/golden/) are the guard that notices such
-#: changes: a PR that regenerates the goldens must also bump this.
+#: tests/golden/test_cache_schema_guard.py enforces it: it pins this
+#: value to the digest of tests/golden/expected_makespans.json and fails
+#: when the golden makespans are regenerated without a bump.
 #: v2: grid points carry scheduler and topology axes (result format v2
 #: adds per-core utilisation), so every pre-axis cache entry is stale.
 CACHE_SCHEMA_VERSION = 2
@@ -266,17 +267,22 @@ class RunPoint:
         The result-document format version and the package version are
         part of the key: bumping either turns every stale cache entry
         into a miss instead of a decode error (or silently stale
-        numbers) on a warm re-run.
+        numbers) on a warm re-run.  The digest is computed once per
+        point and cached on the instance (like a trace's compiled forms),
+        so a server that keys one request twice hashes it once.
         """
-        import repro
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            import repro
 
-        document = {
-            "cache_schema": CACHE_SCHEMA_VERSION,
-            "result_format": RESULT_FORMAT_VERSION,
-            "package_version": repro.__version__,
-            "point": self.describe(),
-        }
-        return json_digest(document)
+            key = json_digest({
+                "cache_schema": CACHE_SCHEMA_VERSION,
+                "result_format": RESULT_FORMAT_VERSION,
+                "package_version": repro.__version__,
+                "point": self.describe(),
+            })
+            object.__setattr__(self, "_cache_key", key)
+        return key
 
     def run(self) -> MachineResult:
         """Execute the simulation for this point."""

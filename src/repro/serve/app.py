@@ -103,7 +103,7 @@ class ServeConfig:
     port: int = 0
     cache_dir: Optional[str] = None
     #: Cells per executor block.
-    batch_lanes: int = 8
+    block_cells: int = 8
     #: Seconds a partial block waits to fill before running anyway.
     batch_window: float = 0.002
     #: Bounded-queue depth: admitted-but-unfinished cells past which the
@@ -121,16 +121,83 @@ class ServeConfig:
     #: Deterministic fault injection, compact form ``"profile:seed"``
     #: (e.g. ``"soak:2015"``); ``None`` also consults ``REPRO_CHAOS``.
     chaos: Optional[str] = None
+    #: Seconds a request's head and body may take to arrive once its
+    #: first byte has; past it the server answers 408 and closes.
+    request_timeout: float = 30.0
+    #: Seconds a keep-alive connection may wait for its next request
+    #: before the server closes it silently.
+    idle_timeout: float = 60.0
 
 
 # -- request plumbing --------------------------------------------------------
-async def _read_request(reader: asyncio.StreamReader, max_body: int) -> Optional[Request]:
-    """Parse one request off the connection; ``None`` on clean EOF."""
+class _Deadline:
+    """The read deadline of one connection: a loop timer that aborts the
+    transport when it fires.
+
+    An expired ``"request"`` deadline writes a best-effort 408 before the
+    abort; an expired ``"idle"`` one closes silently.  Either way the
+    pending read fails, and :attr:`expired` tells the connection loop why.
+    """
+
+    __slots__ = ("_transport", "_request_s", "_idle_s", "_handle", "expired")
+
+    def __init__(self, transport: asyncio.BaseTransport, *,
+                 request_s: float, idle_s: float) -> None:
+        self._transport = transport
+        self._request_s = request_s
+        self._idle_s = idle_s
+        self._handle: Optional[asyncio.TimerHandle] = None
+        #: ``"idle"`` or ``"request"`` once a deadline has passed.
+        self.expired: Optional[str] = None
+
+    def idle(self) -> None:
+        """Await the next request for at most ``idle_s``."""
+        self._arm("idle", self._idle_s)
+
+    def request(self) -> None:
+        """The current request's head and body must arrive within ``request_s``."""
+        self._arm("request", self._request_s)
+
+    def clear(self) -> None:
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+
+    def _arm(self, phase: str, seconds: float) -> None:
+        self.clear()
+        self._handle = asyncio.get_running_loop().call_later(
+            seconds, self._expire, phase)
+
+    def _expire(self, phase: str) -> None:
+        self._handle = None
+        self.expired = phase
+        if phase == "request":
+            body = (canonical_json_line(
+                {"error": f"request not received within {self._request_s:g} s"})
+                + "\n").encode("utf-8")
+            self._transport.write(_render_head(408, [
+                ("Content-Type", "application/json"),
+                ("Content-Length", str(len(body))),
+                ("Connection", "close"),
+            ]) + body)
+        self._transport.abort()
+
+
+async def _read_request(reader: asyncio.StreamReader, max_body: int,
+                        deadline: _Deadline) -> Optional[Request]:
+    """Parse one request off the connection; ``None`` on clean EOF.
+
+    Leaves ``deadline`` cleared once the whole request has arrived.
+    """
+    deadline.idle()
     try:
-        raw = await reader.readuntil(b"\r\n\r\n")
+        first = await reader.readexactly(1)
+    except asyncio.IncompleteReadError:
+        return None  # clean close between requests
+    deadline.request()
+    try:
+        raw = first + await reader.readuntil(b"\r\n\r\n")
     except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean close between requests
         raise HttpError(400, "truncated request head") from exc
     except asyncio.LimitOverrunError as exc:
         raise HttpError(431, "request head too large") from exc
@@ -177,6 +244,7 @@ async def _read_request(reader: asyncio.StreamReader, max_body: int) -> Optional
         if length > max_body:
             raise HttpError(413, f"request body exceeds {max_body} bytes")
         body = await reader.readexactly(length)
+    deadline.clear()
     return Request(method=method.upper(), path=split.path, query=split.query,
                    headers=headers, body=body)
 
@@ -185,6 +253,23 @@ def _render_head(status: int, headers: List[Tuple[str, str]]) -> bytes:
     lines = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}"]
     lines.extend(f"{name}: {value}" for name, value in headers)
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
+
+def _render_result(document: Dict[str, Any]) -> bytes:
+    """A result document's canonical JSON bytes (no newline)."""
+    return canonical_json_line(document).encode("utf-8")
+
+
+def _result_line(envelope: Dict[str, Any], result: bytes) -> bytes:
+    """``canonical_json_line({**envelope, "result": document}) + "\\n"``,
+    given ``result``, the document's :func:`_render_result` bytes.
+
+    Canonical JSON sorts keys, and every envelope key (``cache_key``,
+    ``cached``, ``makespan_us``; ``point``) sorts before ``"result"``, so
+    the result is the last member and its rendering is spliced in as is.
+    """
+    head = canonical_json_line(envelope)
+    return b"".join((head[:-1].encode("utf-8"), b',"result":', result, b"}\n"))
 
 
 async def _send_json(
@@ -196,6 +281,18 @@ async def _send_json(
     extra_headers: Tuple[Tuple[str, str], ...] = (),
 ) -> None:
     body = (canonical_json_line(document) + "\n").encode("utf-8")
+    await _send_body(writer, status, body, keep_alive=keep_alive,
+                     extra_headers=extra_headers)
+
+
+async def _send_body(
+    writer: asyncio.StreamWriter,
+    status: int,
+    body: bytes,
+    *,
+    keep_alive: bool,
+    extra_headers: Tuple[Tuple[str, str], ...] = (),
+) -> None:
     headers = [
         ("Content-Type", "application/json"),
         ("Content-Length", str(len(body))),
@@ -245,18 +342,25 @@ class Server:
         #: Uploaded traces, content-addressed by ``trace_digest`` (LRU).
         self.traces: "OrderedDict[str, WorkloadSpec]" = OrderedDict()
         self.streams_aborted = 0
+        #: Connections closed by a passed read deadline: mid-request (408)
+        #: and between requests (silently).
+        self.request_timeouts = 0
+        self.idle_timeouts = 0
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set = set()
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> None:
         config = self.config
+        if not (config.request_timeout > 0 and config.idle_timeout > 0):
+            raise ValueError("request_timeout and idle_timeout must be > 0, got "
+                             f"{config.request_timeout} and {config.idle_timeout}")
         from repro.chaos.plan import parse_chaos, plan_from_env
 
         plan = parse_chaos(config.chaos) if config.chaos else plan_from_env()
         self.batcher = Batcher(
             cache=self.cache,
-            batch_lanes=config.batch_lanes,
+            block_cells=config.block_cells,
             batch_window=config.batch_window,
             max_pending=config.max_pending,
             executor_threads=config.executor_threads,
@@ -293,13 +397,18 @@ class Server:
         task = asyncio.current_task()
         if task is not None:
             self._connections.add(task)
+        deadline = _Deadline(writer.transport, request_s=self.config.request_timeout,
+                             idle_s=self.config.idle_timeout)
         try:
             while True:
                 try:
-                    request = await _read_request(reader, self.config.max_body_bytes)
+                    request = await _read_request(
+                        reader, self.config.max_body_bytes, deadline)
                 except HttpError as err:
-                    await _send_json(writer, err.status, {"error": str(err)},
-                                     keep_alive=False, extra_headers=err.headers)
+                    deadline.clear()
+                    if deadline.expired is None:
+                        await _send_json(writer, err.status, {"error": str(err)},
+                                         keep_alive=False, extra_headers=err.headers)
                     break
                 if request is None:
                     break
@@ -309,10 +418,16 @@ class Server:
                     break
         except (ConnectionResetError, BrokenPipeError,
                 asyncio.IncompleteReadError, asyncio.LimitOverrunError):
-            self.streams_aborted += 1
+            if deadline.expired is None:
+                self.streams_aborted += 1
         except asyncio.CancelledError:
             pass  # server shutdown
         finally:
+            deadline.clear()
+            if deadline.expired == "request":
+                self.request_timeouts += 1
+            elif deadline.expired == "idle":
+                self.idle_timeouts += 1
             if task is not None:
                 self._connections.discard(task)
             writer.close()
@@ -398,6 +513,8 @@ class Server:
             "service_rate_cells_per_s": admission.service_rate,
             "traces_registered": len(self.traces),
             "streams_aborted": self.streams_aborted,
+            "request_timeouts": self.request_timeouts,
+            "idle_timeouts": self.idle_timeouts,
             "breaker": self.batcher.breaker.to_json(),
         })
         return doc
@@ -552,12 +669,12 @@ class Server:
         [future] = self.batcher.submit_many([point])
         cached = future.done()
         document = await asyncio.shield(future)
-        await _send_json(writer, 200, {
+        result = self.batcher.rendered(key, document, _render_result)
+        await _send_body(writer, 200, _result_line({
             "cache_key": key,
             "cached": cached,
             "makespan_us": document.get("makespan_us"),
-            "result": document,
-        }, keep_alive=keep_alive)
+        }, result), keep_alive=keep_alive)
 
     async def _sweep(
         self, request: Request, writer: asyncio.StreamWriter, keep_alive: bool
@@ -599,8 +716,9 @@ class Server:
         try:
             for point, future in zip(points, futures):
                 document = await asyncio.shield(future)
-                row = {"point": point.describe(), "result": document}
-                await chunked.send((canonical_json_line(row) + "\n").encode("utf-8"))
+                key = point.cache_key() if point.cacheable else None
+                result = self.batcher.rendered(key, document, _render_result)
+                await chunked.send(_result_line({"point": point.describe()}, result))
             await chunked.finish()
         except (ConnectionResetError, BrokenPipeError):
             # The client went away mid-stream; simulations already in

@@ -17,7 +17,7 @@ the single funnel they all pass through:
    for multi-cell sweeps) or the request is rejected with a measured
    Retry-After.
 4. **Batched execution** — admitted cells are grouped into blocks of
-   up to ``batch_lanes`` cells and each block runs on a thread-pool
+   up to ``block_cells`` cells and each block runs on a thread-pool
    executor (:func:`repro.experiments.runner.execute_lane_block`), cell
    by cell, exactly like the sweep runner.  With ``fabric_workers`` > 0,
    large blocks are fanned out over the distributed sweep fabric
@@ -34,7 +34,7 @@ import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.runner import execute_lane_block, intern_jobs
@@ -116,6 +116,16 @@ class _Pending:
         self.future = future
 
 
+class _MemoEntry:
+    """A memoised result document and, once rendered, its JSON bytes."""
+
+    __slots__ = ("document", "rendered")
+
+    def __init__(self, document: Dict[str, Any]) -> None:
+        self.document = document
+        self.rendered: Optional[bytes] = None
+
+
 class Batcher:
     """The cache → dedupe → admit → batch funnel (event-loop resident).
 
@@ -125,8 +135,10 @@ class Batcher:
         Shared on-disk result store, or ``None``.  Independently of it,
         the batcher keeps a bounded in-memory memo of results by cache
         key, so repeated identical requests are warm even on a server
-        without a cache directory.
-    batch_lanes:
+        without a cache directory.  Each memo entry also holds the
+        result's canonical JSON bytes once :meth:`rendered` has made
+        them, so a memo hit is answered without re-rendering.
+    block_cells:
         Cells per executor block (1 = one cell per block); also the
         size a coalescing burst waits to fill (see ``batch_window``).
     batch_window:
@@ -134,6 +146,9 @@ class Batcher:
         running it anyway — the latency cost of coalescing (default 2 ms).
     max_pending:
         Bounded-queue depth handed to the :class:`AdmissionController`.
+    memo_entries:
+        Results the in-memory memo keeps (LRU beyond this), each with at
+        most one rendered JSON copy.
     executor_threads:
         Simulation threads.  Simulations are pure Python (GIL-bound), so
         this mainly overlaps simulation with request I/O; real scale-out
@@ -159,7 +174,7 @@ class Batcher:
         self,
         *,
         cache: Optional[ResultCache] = None,
-        batch_lanes: int = 8,
+        block_cells: int = 8,
         batch_window: float = 0.002,
         max_pending: int = 256,
         executor_threads: int = 2,
@@ -169,10 +184,10 @@ class Batcher:
         breaker: Optional[CircuitBreaker] = None,
         chaos: Optional[Any] = None,
     ) -> None:
-        if batch_lanes < 1:
-            raise ValueError(f"batch_lanes must be >= 1, got {batch_lanes}")
+        if block_cells < 1:
+            raise ValueError(f"block_cells must be >= 1, got {block_cells}")
         self.cache = cache
-        self.batch_lanes = batch_lanes
+        self.block_cells = block_cells
         self.batch_window = batch_window
         self.admission = AdmissionController(max_pending)
         self.stats = BatcherStats()
@@ -189,7 +204,7 @@ class Batcher:
         self._executor = ThreadPoolExecutor(
             max_workers=executor_threads, thread_name_prefix="serve-sim")
         self.memo_entries = memo_entries
-        self._memo: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        self._memo: "OrderedDict[str, _MemoEntry]" = OrderedDict()
         self._queue: deque[_Pending] = deque()
         self._inflight: Dict[str, asyncio.Future] = {}
         self._wakeup: Optional[asyncio.Event] = None
@@ -229,10 +244,10 @@ class Batcher:
         key = point.cache_key() if point.cacheable else None
         if key is None:
             return None, None
-        document = self._memo.get(key)
-        if document is not None:
+        entry = self._memo.get(key)
+        if entry is not None:
             self._memo.move_to_end(key)
-            return key, document
+            return key, entry.document
         if self.cache is not None:
             document = self.cache.get(key)
             if document is not None:
@@ -241,10 +256,26 @@ class Batcher:
         return key, None
 
     def _remember(self, key: str, document: Dict[str, Any]) -> None:
-        self._memo[key] = document
+        self._memo[key] = _MemoEntry(document)
         self._memo.move_to_end(key)
         while len(self._memo) > self.memo_entries:
             self._memo.popitem(last=False)
+
+    def rendered(self, key: Optional[str], document: Dict[str, Any],
+                 render: Callable[[Dict[str, Any]], bytes]) -> bytes:
+        """``render(document)``, made at most once per memoised result.
+
+        The bytes are kept in the memo entry only while that entry still
+        holds this very document for ``key``, so they are evicted with
+        it and the memo's LRU bound stays its memory bound.  Anything
+        else (an uncacheable point, an evicted entry) renders afresh.
+        """
+        entry = self._memo.get(key) if key is not None else None
+        if entry is None or entry.document is not document:
+            return render(document)
+        if entry.rendered is None:
+            entry.rendered = render(document)
+        return entry.rendered
 
     def submit_many(self, points: List[RunPoint]) -> List["asyncio.Future[Dict[str, Any]]"]:
         """Admit a batch of cells atomically; return one awaitable each.
@@ -321,12 +352,12 @@ class Batcher:
             await self._wakeup.wait()
             self._wakeup.clear()
             while self._queue:
-                if 0 < len(self._queue) < self.batch_lanes and self.batch_window > 0:
+                if 0 < len(self._queue) < self.block_cells and self.batch_window > 0:
                     # Let a burst coalesce into a fuller block.
                     await asyncio.sleep(self.batch_window)
                 block = [
                     self._queue.popleft()
-                    for _ in range(min(self.batch_lanes, len(self._queue)))
+                    for _ in range(min(self.block_cells, len(self._queue)))
                 ]
                 task = asyncio.create_task(self._run_block(block))
                 self._block_tasks.add(task)

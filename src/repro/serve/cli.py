@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--cache-dir", default=None,
                          help="content-addressed result cache directory "
                               "(shared with sweep runs over the same dir)")
-    p_serve.add_argument("--batch-lanes", type=int, default=8,
+    p_serve.add_argument("--block-cells", type=int, default=8,
                          help="cells per executor block (default 8)")
     p_serve.add_argument("--batch-window-ms", type=float, default=2.0,
                          help="milliseconds a partial block waits to fill "
@@ -97,7 +97,7 @@ def _run_server(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         cache_dir=args.cache_dir,
-        batch_lanes=args.batch_lanes,
+        block_cells=args.block_cells,
         batch_window=args.batch_window_ms / 1e3,
         max_pending=args.max_pending,
         executor_threads=args.executor_threads,
@@ -110,7 +110,7 @@ def _run_server(args: argparse.Namespace) -> int:
         assert server.address is not None
         print(f"serving on http://{server.address[0]}:{server.address[1]} "
               f"(max_pending={config.max_pending}, "
-              f"batch_lanes={config.batch_lanes})", file=sys.stderr)
+              f"block_cells={config.block_cells})", file=sys.stderr)
         try:
             await server.serve_forever()
         finally:

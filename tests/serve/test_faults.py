@@ -116,7 +116,7 @@ class TestClientDisconnect:
         monkeypatch.setattr(batcher_module, "execute_block",
                             lambda block: (time.sleep(SLOW_BLOCK),
                                            _real_execute_block(block))[1])
-        handle = start_in_thread(ServeConfig(batch_lanes=1, batch_window=0.0,
+        handle = start_in_thread(ServeConfig(block_cells=1, batch_window=0.0,
                                              executor_threads=1))
         fields = dict(workloads=["microbench"], managers=["ideal", "nexus#2"],
                       core_counts=[1, 2], scale=0.05, format="jsonl")
@@ -226,7 +226,7 @@ class TestEngineFailure:
             return _real_execute_block(block)
 
         monkeypatch.setattr(batcher_module, "execute_block", fail_on_third)
-        handle = start_in_thread(ServeConfig(batch_lanes=1, batch_window=0.0,
+        handle = start_in_thread(ServeConfig(block_cells=1, batch_window=0.0,
                                              executor_threads=1))
         try:
             with ServeClient(handle.host, handle.port, timeout=30) as c:
