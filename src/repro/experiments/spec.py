@@ -269,7 +269,10 @@ class RunPoint:
         into a miss instead of a decode error (or silently stale
         numbers) on a warm re-run.  The digest is computed once per
         point and cached on the instance (like a trace's compiled forms),
-        so a server that keys one request twice hashes it once.
+        so a server that keys one request twice hashes it once.  The key
+        is frozen at the first call (and pickles with the point), so
+        nothing it describes, the factory's ``describe`` included, may
+        change after it.
         """
         key = self.__dict__.get("_cache_key")
         if key is None:

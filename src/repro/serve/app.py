@@ -64,6 +64,13 @@ _REASONS = {
 #: asyncio stream buffer limit — bounds header size and chunk-size lines.
 _STREAM_LIMIT = 256 * 1024
 
+#: Seconds a request's head and body may take to arrive once its first
+#: byte has; past it the server answers 408 and closes.
+REQUEST_TIMEOUT_S = 30.0
+#: Seconds a keep-alive connection may wait for its next request before
+#: the server closes it silently.
+IDLE_TIMEOUT_S = 60.0
+
 
 class HttpError(Exception):
     """A request error with an HTTP status (rendered as a JSON body)."""
@@ -121,12 +128,6 @@ class ServeConfig:
     #: Deterministic fault injection, compact form ``"profile:seed"``
     #: (e.g. ``"soak:2015"``); ``None`` also consults ``REPRO_CHAOS``.
     chaos: Optional[str] = None
-    #: Seconds a request's head and body may take to arrive once its
-    #: first byte has; past it the server answers 408 and closes.
-    request_timeout: float = 30.0
-    #: Seconds a keep-alive connection may wait for its next request
-    #: before the server closes it silently.
-    idle_timeout: float = 60.0
 
 
 # -- request plumbing --------------------------------------------------------
@@ -185,7 +186,8 @@ class _Deadline:
 
 async def _read_request(reader: asyncio.StreamReader, max_body: int,
                         deadline: _Deadline) -> Optional[Request]:
-    """Parse one request off the connection; ``None`` on clean EOF.
+    """Parse one request off the connection; ``None`` on clean EOF or
+    when ``deadline`` has expired.
 
     Leaves ``deadline`` cleared once the whole request has arrived.
     """
@@ -245,6 +247,10 @@ async def _read_request(reader: asyncio.StreamReader, max_body: int,
             raise HttpError(413, f"request body exceeds {max_body} bytes")
         body = await reader.readexactly(length)
     deadline.clear()
+    if deadline.expired is not None:
+        # The timer came due in the loop iteration the last bytes landed:
+        # the transport is aborted (and a 408 sent), so serve nothing.
+        return None
     return Request(method=method.upper(), path=split.path, query=split.query,
                    headers=headers, body=body)
 
@@ -352,9 +358,6 @@ class Server:
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> None:
         config = self.config
-        if not (config.request_timeout > 0 and config.idle_timeout > 0):
-            raise ValueError("request_timeout and idle_timeout must be > 0, got "
-                             f"{config.request_timeout} and {config.idle_timeout}")
         from repro.chaos.plan import parse_chaos, plan_from_env
 
         plan = parse_chaos(config.chaos) if config.chaos else plan_from_env()
@@ -397,8 +400,8 @@ class Server:
         task = asyncio.current_task()
         if task is not None:
             self._connections.add(task)
-        deadline = _Deadline(writer.transport, request_s=self.config.request_timeout,
-                             idle_s=self.config.idle_timeout)
+        deadline = _Deadline(writer.transport, request_s=REQUEST_TIMEOUT_S,
+                             idle_s=IDLE_TIMEOUT_S)
         try:
             while True:
                 try:

@@ -1,27 +1,31 @@
 """Server read deadlines, driven over raw sockets.
 
-A request whose head or body stalls past ``request_timeout`` gets a
+A request whose head or body stalls past ``REQUEST_TIMEOUT_S`` gets a
 best-effort ``408`` and the connection closes; a keep-alive connection
-idle past ``idle_timeout`` closes silently.  A client whose pauses stay
+idle past ``IDLE_TIMEOUT_S`` closes silently.  A client whose pauses stay
 under both is unaffected.  ``/v1/stats`` counts both kinds of close.
 """
 
 from __future__ import annotations
 
+import asyncio
 import socket
 import time
 
 import pytest
 
-from repro.serve import ServeClient, ServeConfig, start_in_thread
+from repro.serve import ServeClient, app, start_in_thread
 
 REQUEST_S = 0.4
 IDLE_S = 0.6
 
 
 @pytest.fixture
-def server():
-    handle = start_in_thread(ServeConfig(request_timeout=REQUEST_S, idle_timeout=IDLE_S))
+def server(monkeypatch):
+    # Each connection reads the deadlines when it starts.
+    monkeypatch.setattr(app, "REQUEST_TIMEOUT_S", REQUEST_S)
+    monkeypatch.setattr(app, "IDLE_TIMEOUT_S", IDLE_S)
+    handle = start_in_thread()
     yield handle
     handle.stop()
 
@@ -156,10 +160,44 @@ class TestPatientClient:
         assert (stats["request_timeouts"], stats["idle_timeouts"]) == (0, 0)
 
 
-class TestConfig:
-    @pytest.mark.parametrize("field", ["request_timeout", "idle_timeout"])
-    def test_non_positive_timeouts_are_rejected(self, field):
-        from repro.common.errors import SimulationError
+class _Transport:
+    """Records what a deadline writes, and whether it aborted."""
 
-        with pytest.raises(SimulationError, match=field):
-            start_in_thread(ServeConfig(**{field: 0}))
+    def __init__(self) -> None:
+        self.written = b""
+        self.aborted = False
+
+    def write(self, data: bytes) -> None:
+        self.written += data
+
+    def abort(self) -> None:
+        self.aborted = True
+
+
+class _ExpiresOnArrival(app._Deadline):
+    """A request deadline whose timer comes due as the request lands."""
+
+    def request(self) -> None:
+        super().request()
+        self._expire("request")
+
+
+class TestDeadlineAtArrival:
+    def test_request_complete_when_timer_fires_is_not_served(self):
+        body = b'{"workload": "microbench", "manager": "ideal", "cores": 1}'
+        wire = (b"POST /v1/simulate HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body) + body)
+
+        async def read():
+            reader = asyncio.StreamReader()
+            reader.feed_data(wire)  # the whole request is already buffered
+            transport = _Transport()
+            deadline = _ExpiresOnArrival(transport, request_s=REQUEST_S, idle_s=IDLE_S)
+            request = await app._read_request(reader, 1 << 20, deadline)
+            return request, transport, deadline
+
+        request, transport, deadline = asyncio.run(read())
+        assert request is None
+        assert deadline.expired == "request"
+        assert transport.aborted
+        assert transport.written.startswith(b"HTTP/1.1 408 ")
